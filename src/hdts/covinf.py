@@ -4,7 +4,9 @@ process X_ij * X_ik - gamma_jk.
 Pairs (j, k) with j <= k are laid out in upper-triangular order, giving
 p(p+1)/2 columns; the duplicated lower triangle would add nothing to a
 maximum statistic.  The product panel is centered at the sample covariance
-(the population value being unknown in practice).
+(the population value being unknown in practice).  The test never builds
+that n x p(p+1)/2 panel: its block sums are upper triangles of per-block
+Gram matrices, and `build_cov_panel` is kept as the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from .depmeasure import AuxNorms, DependenceProfile, adjusted_norm, _tail_sums
 from .errors import ValidationError
 from .gboot import bootstrap_quantile
-from .longrun import default_block_length, plan_blocks, sigma_tilde
+from .longrun import (BlockPlan, LongRunEstimate, _abs_max, default_block_length,
+                      plan_blocks)
 from .model import Panel, ProcessSpec, simulate_coupled
 from .rng import RngContract
 
@@ -69,6 +72,26 @@ def build_cov_panel(panel: Panel) -> CovPanel:
     prods = panel.data[:, js] * panel.data[:, ks]
     gamma_hat = prods.mean(axis=0)
     return CovPanel(data=prods - gamma_hat, gamma_hat=gamma_hat, p=panel.p)
+
+
+def product_block_sums(panel: Panel, plan: BlockPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Block sums of the centered product panel, and gamma_hat, from Gram matrices.
+
+    Row b is the upper triangle of X_b^T X_b - M gamma_hat for block b of
+    the plan; gamma_hat is the upper triangle of X^T X / n over all n rows.
+    Equal, up to rounding, to the block sums of build_cov_panel(panel).
+    """
+    if panel.n < 2:
+        raise ValidationError(f"need n >= 2 observations, got {panel.n}")
+    if plan.n != panel.n:
+        raise ValidationError(
+            f"plan covers n={plan.n} but panel has n={panel.n} observations")
+    js, ks = pair_indices(panel.p)
+    X = panel.data
+    gamma_hat = (X.T @ X)[js, ks] / panel.n
+    blocks = X[:plan.used].reshape(plan.w, plan.M, panel.p)
+    gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
+    return gram[:, js, ks] - plan.M * gamma_hat, gamma_hat
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +239,26 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
     """Simultaneous test of all covariance entries at level 1 - theta.
 
     Runs the mean-subtracted batched estimator and the multiplier bootstrap
-    on the product panel; tau_a is taken from the diagonal of that
-    estimate.  The default null has zero off-diagonals and leaves the
-    variances untested (diagonal entries set to their sample values).
+    on the product panel, from its block sums (see product_block_sums);
+    tau_a is taken from the diagonal of that estimate.  The default null
+    has zero off-diagonals and leaves the variances untested (diagonal
+    entries set to their sample values).
     """
     p = panel.p
     if n_pairs(p) > max_pairs:
         raise ValidationError(
             f"p(p+1)/2 = {n_pairs(p)} exceeds the guard of {max_pairs} columns; "
             "test a coordinate subset")
-    cov_panel = build_cov_panel(panel)
+    M = M if M is not None else default_block_length(panel.n)
+    plan = plan_blocks(panel.n, M)
+    Y, gamma_hat = product_block_sums(panel, plan)
+    js, ks = pair_indices(p)
     if null_gamma is None:
         null_flat = np.zeros(n_pairs(p))
-        js, ks = pair_indices(p)
-        null_flat[js == ks] = cov_panel.gamma_hat[js == ks]
+        null_flat[js == ks] = gamma_hat[js == ks]
     else:
         null_gamma = np.asarray(null_gamma, dtype=float)
         if null_gamma.shape == (p, p):
-            js, ks = pair_indices(p)
             null_flat = null_gamma[js, ks]
         elif null_gamma.shape == (n_pairs(p),):
             null_flat = null_gamma
@@ -242,17 +267,17 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
                 f"null gamma must be ({p},{p}) or flat ({n_pairs(p)},), "
                 f"got {null_gamma.shape}")
 
-    M = M if M is not None else default_block_length(panel.n)
-    plan = plan_blocks(cov_panel.n, M)
-    est = sigma_tilde(cov_panel.as_panel(), plan)
+    # |X_ij X_ik| <= max|X_j| max|X_k| bounds the product columns
+    abs_max = _abs_max(panel, plan)
+    est = LongRunEstimate(kind="tilde", plan=plan, block_sums=Y - Y.mean(axis=0),
+                          abs_max=abs_max[js] * abs_max[ks])
     bq = bootstrap_quantile(est, theta, B, rng)
     tau = est.diag_scale
-    pair_stats = math.sqrt(panel.n) * np.abs(cov_panel.gamma_hat - null_flat) / tau
+    pair_stats = math.sqrt(panel.n) * np.abs(gamma_hat - null_flat) / tau
     statistic = float(np.max(pair_stats))
-    js, ks = pair_indices(p)
     mask = pair_stats > bq.chi
     flagged = np.column_stack([js[mask], ks[mask]])
     return CovTestResult(statistic=statistic, threshold=bq.chi, theta=theta,
-                         gamma_hat=cov_panel.gamma_hat, gamma_null=null_flat,
+                         gamma_hat=gamma_hat, gamma_null=null_flat,
                          tau=tau, pair_stats=pair_stats, flagged=flagged,
                          n=panel.n, M=plan.M, w=plan.w, B=B)

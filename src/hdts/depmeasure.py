@@ -16,7 +16,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from .errors import BoundaryError, ValidationError
-from .longrun import f_alpha_factor
+from .longrun import default_block_length, f_alpha_factor
 from .model import ProcessSpec, gaussian_abs_moment_root, simulate_coupled
 from .rng import RngContract
 
@@ -502,7 +502,7 @@ def ga_condition_check(profile: DependenceProfile, n: int,
     N3 = (n ** 0.5 * lp ** (-0.5) / Theta) ** (1.0 / (0.5 - alpha)) \
         if alpha < 0.5 else None
 
-    M_eff = M if M is not None else max(1, int(n ** (1.0 / 3.0)))
+    M_eff = M if M is not None else default_block_length(n)
     w_eff = n // M_eff
     try:
         F_alpha = f_alpha_factor(q, alpha, w_eff, M_eff)

@@ -2,10 +2,19 @@
 of the normalized Gaussian maximum, and simultaneous confidence intervals.
 
 The bootstrap statistic is max_j |Z_j| / sqrt(sigma_jj) with Z drawn
-conditionally as N(0, Sigma_tilde).  Draws are generated from the square
-root of the correlation matrix of Sigma_tilde, which has the same
-conditional law and makes the statistic exactly invariant under
-coordinate-wise rescaling of the data.
+conditionally as N(0, Sigma_tilde).  Draws are max_j |eta F_n|_j for
+standard normal eta, where the factor F_n has F_n^T F_n equal to the
+correlation matrix of Sigma_tilde; this makes the statistic exactly
+invariant under coordinate-wise rescaling of the data.
+
+For an estimate built from data, Sigma_tilde = Yc^T Yc / (M w) with Yc the
+w centred block sums, so F_n is Yc divided by its column norms (the
+multiplier bootstrap in factor form): neither Sigma_tilde nor its square
+root is formed, and nothing is clipped.  When w > p the p x p triangular
+factor R of Yc = QR, which has the same Gram matrix, replaces Yc so that
+draws stay p wide.  An estimate given as a matrix is factored through the
+eigendecomposition square root of its correlation matrix, with negative
+eigenvalues clipped and their mass reported.
 """
 
 from __future__ import annotations
@@ -89,35 +98,64 @@ def _quantile_se(sorted_draws: np.ndarray, theta: float) -> float:
     return 0.5 * float(sorted_draws[k_hi - 1] - sorted_draws[k_lo - 1])
 
 
+def _unit_factor(est: LongRunEstimate) -> tuple[np.ndarray, float]:
+    """Factor F_n with F_n^T F_n the correlation matrix of est, and the clipped mass.
+
+    Fails when a coordinate is degenerate: for a matrix estimate, a
+    diagonal entry below 1e-10; for block sums, a column whose norm is
+    within the rounding noise floor of its data.
+    """
+    Y = est.block_sums
+    if Y is None:
+        d2 = np.diag(est.sigma)
+        if np.min(d2) < 1e-10:
+            raise AssumptionError(
+                "degenerate diagonal in the long-run estimate: the requirement "
+                f"min_j sigma_jj >= c fails (min = {np.min(d2):.3e})")
+        d = np.sqrt(d2)
+        corr = est.sigma / np.outer(d, d)
+        np.fill_diagonal(corr, 1.0)
+        sq = psd_sqrt(corr)
+        return sq.root.T, sq.clipped_mass
+    norms = np.linalg.norm(Y, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise NumericalError("block sums of the long-run estimate are not finite")
+    flat = np.flatnonzero(norms <= est.noise_floor)
+    if flat.size:
+        raise AssumptionError(
+            "degenerate coordinate in the long-run estimate: the requirement "
+            f"min_j sigma_jj >= c fails for column(s) {(flat + 1).tolist()[:10]}, "
+            "whose block sums are at rounding level")
+    if Y.shape[0] > Y.shape[1]:
+        # R with a nonnegative diagonal is the Cholesky factor of Y^T Y, so
+        # the draws do not depend on the Householder sign convention, and for
+        # weakly correlated data R is close to the symmetric root
+        Y = np.linalg.qr(Y, mode="r")
+        Y *= np.where(np.diag(Y) < 0.0, -1.0, 1.0)[:, None]
+        norms = np.linalg.norm(Y, axis=0)
+    return Y / norms, 0.0
+
+
 def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
                        rng: RngContract) -> BootstrapQuantile:
     """Estimate the conditional theta-quantile of max_j |Z_j|/sqrt(sigma_jj).
 
     chi is the ceil(theta*B)-th order statistic of B multiplier draws.
-    Fails when any diagonal entry is (numerically) degenerate, i.e. the
+    Fails when any coordinate is (numerically) degenerate, i.e. the
     minimum long-run variance requirement min_j sigma_jj >= c is violated.
     """
     if not 0.0 < theta < 1.0:
         raise ValidationError(f"coverage level theta must lie in (0,1), got {theta}")
     if B < 1000:
         raise ValidationError(f"need B >= 1000 bootstrap draws, got {B}")
-    d2 = np.diag(est.sigma)
-    if np.min(d2) < 1e-10:
-        raise AssumptionError(
-            "degenerate diagonal in the long-run estimate: the requirement "
-            f"min_j sigma_jj >= c fails (min = {np.min(d2):.3e})")
-    d = np.sqrt(d2)
-    corr = est.sigma / np.outer(d, d)
-    np.fill_diagonal(corr, 1.0)
-    sq = psd_sqrt(corr)
-    S_t = sq.root.T
+    F, clipped_mass = _unit_factor(est)
 
     draws = np.empty(B)
     for start in range(0, B, _DRAW_CHUNK):
         stop = min(start + _DRAW_CHUNK, B)
         gen = rng.derive("gboot-draws", start // _DRAW_CHUNK).generator()
-        eta = gen.standard_normal((stop - start, est.p))
-        draws[start:stop] = np.max(np.abs(eta @ S_t), axis=1)
+        eta = gen.standard_normal((stop - start, F.shape[0]))
+        draws[start:stop] = np.max(np.abs(eta @ F), axis=1)
 
     sorted_draws = np.sort(draws)
     chi = _order_statistic(sorted_draws, theta)
@@ -125,7 +163,7 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
     probs = (np.arange(512) + 0.5) / 512.0
     grid = np.quantile(sorted_draws, probs)
     return BootstrapQuantile(theta=theta, chi=chi, B=B, chi_se=se,
-                             clipped_mass=sq.clipped_mass, draws=draws,
+                             clipped_mass=clipped_mass, draws=draws,
                              ecdf_u=grid, ecdf_p=probs)
 
 
@@ -175,6 +213,6 @@ def simultaneous_ci(panel: Panel, theta: float, M: int | None, B: int,
     mu_hat = panel.data.mean(axis=0)
     half = bq.chi * est.diag_scale / math.sqrt(panel.n)
     return CiReport(mu_hat=mu_hat, lo=mu_hat - half, hi=mu_hat + half,
-                    sigma_diag=np.diag(est.sigma).copy(), theta=theta,
+                    sigma_diag=est.diag, theta=theta,
                     chi=bq.chi, chi_se=bq.chi_se, B=B, M=plan.M, w=plan.w,
                     n=panel.n, clipped_mass=bq.clipped_mass)

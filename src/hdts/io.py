@@ -46,11 +46,18 @@ def read_array_binary(path) -> np.ndarray:
         magic = f.read(5)
         if magic != MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", f.read(16))
-        data = np.frombuffer(f.read(rows * cols * 8), dtype="<f8")
-        if data.size != rows * cols:
-            raise ValidationError(f"{path}: truncated payload")
-        return data.reshape(rows, cols).astype(float)
+        header = f.read(16)
+        if len(header) != 16:
+            raise ValidationError(f"{path}: truncated header")
+        rows, cols = struct.unpack("<QQ", header)
+        payload = f.read()
+    if len(payload) < rows * cols * 8:
+        raise ValidationError(f"{path}: truncated payload")
+    if len(payload) > rows * cols * 8:
+        raise ValidationError(
+            f"{path}: {len(payload) - rows * cols * 8} trailing bytes after "
+            f"the {rows}x{cols} payload")
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +74,39 @@ def write_panel_csv(path, data: np.ndarray) -> None:
             f.write(str(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
 
 
+def _parse_rows(path, lines, first_line: int, skip: int,
+                width: int | None = None) -> np.ndarray:
+    """Numeric rows of CSV lines, dropping `skip` leading cells per row.
+
+    Blank lines are ignored; a row of the wrong width or a non-numeric
+    cell raises ValidationError naming the file and line.
+    """
+    rows = []
+    for lineno, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")[skip:]
+        width = len(cells) if width is None else width
+        if len(cells) != width:
+            raise ValidationError(
+                f"{path}, line {lineno}: expected {width} values, got {len(cells)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError:
+            raise ValidationError(
+                f"{path}, line {lineno}: non-numeric value in {line.strip()!r}") from None
+    return np.array(rows)
+
+
 def read_panel_csv(path) -> np.ndarray:
     with open(path) as f:
         header = f.readline().strip().split(",")
         if not header or header[0] != "t":
             raise ValidationError(f"{path}: expected a panel CSV with header t,x1..xp")
-        rows = [line.strip().split(",")[1:] for line in f if line.strip()]
-    if not rows:
+        data = _parse_rows(path, f, 2, 1, len(header) - 1)
+    if data.size == 0:
         raise ValidationError(f"{path}: empty panel")
-    return np.array([[float(v) for v in row] for row in rows])
+    return data
 
 
 def write_matrix_csv(path, arr: np.ndarray) -> None:
@@ -87,8 +118,7 @@ def write_matrix_csv(path, arr: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     with open(path) as f:
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    return np.array([[float(v) for v in row] for row in rows])
+        return _parse_rows(path, f, 1, 0)
 
 
 def read_panel_any(path) -> np.ndarray:

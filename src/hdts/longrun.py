@@ -51,26 +51,69 @@ def default_block_length(n: int) -> int:
     return max(1, int(math.floor(n ** (1.0 / 3.0) + 1e-9)))
 
 
-@dataclass(frozen=True)
 class LongRunEstimate:
     """Symmetric PSD estimate of the long-run covariance matrix.
 
     kind "hat" assumes the process mean is zero; "tilde" subtracts the
     sample mean of the used observations block-wise.
+
+    The batched-mean estimators keep the (w, p) block sums Y they are built
+    from, with abs_max bounding each column of the data summed, and
+    sigma = Y^T Y / (M w) is formed only when read.  An estimate given as
+    a matrix (an oracle Sigma) has no block sums.
     """
 
-    sigma: np.ndarray
-    kind: str
-    plan: BlockPlan
+    def __init__(self, sigma: np.ndarray | None = None, *, kind: str,
+                 plan: BlockPlan, block_sums: np.ndarray | None = None,
+                 abs_max: np.ndarray | None = None):
+        if (sigma is None) == (block_sums is None) or \
+                (block_sums is None) != (abs_max is None):
+            raise ValidationError(
+                "a long-run estimate takes either sigma, or block_sums with abs_max")
+        self.kind = kind
+        self.plan = plan
+        self.block_sums = block_sums
+        self.abs_max = abs_max
+        self._sigma = sigma
+
+    @property
+    def noise_floor(self) -> np.ndarray:
+        """Per-column norm of the block sums that rounding alone can produce.
+
+        A worst-case bound for naive summation: a block sum errs by at most
+        M^2 u max|x| and M times the mean of the used observations by
+        M * wM * u max|x| (u = eps/2), over w blocks.  It scales with the
+        data, so a degeneracy check built on it is scale-invariant.
+        """
+        plan = self.plan
+        u = 0.5 * np.finfo(float).eps
+        return u * plan.M * (plan.M + plan.used) * math.sqrt(plan.w) * self.abs_max
+
+    @property
+    def sigma(self) -> np.ndarray:
+        if self._sigma is None:
+            Y = self.block_sums
+            S = Y.T @ Y / (self.plan.M * self.plan.w)
+            self._sigma = 0.5 * (S + S.T)
+        return self._sigma
 
     @property
     def p(self) -> int:
-        return self.sigma.shape[0]
+        src = self.block_sums if self.block_sums is not None else self._sigma
+        return src.shape[1]
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The diagonal sigma_jj, from the block sums without forming sigma."""
+        Y = self.block_sums
+        if Y is None:
+            return np.diag(self._sigma).copy()
+        return np.einsum("ij,ij->j", Y, Y) / (self.plan.M * self.plan.w)
 
     @property
     def diag_scale(self) -> np.ndarray:
         """sqrt of the diagonal (the normalization D used by the bootstrap)."""
-        return np.sqrt(np.maximum(np.diag(self.sigma), 0.0))
+        return np.sqrt(np.maximum(self.diag, 0.0))
 
 
 def _block_sums(panel: Panel, plan: BlockPlan) -> np.ndarray:
@@ -81,16 +124,18 @@ def _block_sums(panel: Panel, plan: BlockPlan) -> np.ndarray:
     return used.reshape(plan.w, plan.M, panel.p).sum(axis=1)
 
 
+def _abs_max(panel: Panel, plan: BlockPlan) -> np.ndarray:
+    return np.max(np.abs(panel.data[:plan.used]), axis=0)
+
+
 def sigma_hat(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
     """Batched-mean estimate (1/(Mw)) sum_b Y_b Y_b^T (mean assumed zero).
 
     PSD by construction (average of outer products); the caller is
     responsible for the zero-mean assumption.
     """
-    Y = _block_sums(panel, plan)
-    S = Y.T @ Y / (plan.M * plan.w)
-    S = 0.5 * (S + S.T)
-    return LongRunEstimate(sigma=S, kind="hat", plan=plan)
+    return LongRunEstimate(kind="hat", plan=plan, block_sums=_block_sums(panel, plan),
+                           abs_max=_abs_max(panel, plan))
 
 
 def sigma_tilde(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
@@ -102,9 +147,8 @@ def sigma_tilde(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
     Y = _block_sums(panel, plan)
     xbar = panel.data[:plan.used].mean(axis=0)
     Yc = Y - plan.M * xbar
-    S = Yc.T @ Yc / (plan.M * plan.w)
-    S = 0.5 * (S + S.T)
-    return LongRunEstimate(sigma=S, kind="tilde", plan=plan)
+    return LongRunEstimate(kind="tilde", plan=plan, block_sums=Yc,
+                           abs_max=_abs_max(panel, plan))
 
 
 # ---------------------------------------------------------------------------

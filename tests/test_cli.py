@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from hdts import io
 from hdts.cli import DEFAULT_CONFIG, main
+from hdts.errors import ValidationError
 from hdts.gboot import simultaneous_ci
 from hdts.longrun import plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
@@ -43,6 +45,17 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     io.write_matrix_csv(path, arr)
     assert np.array_equal(io.read_matrix_csv(path), arr)
+
+
+def test_binary_trailing_bytes_rejected(tmp_path, capsys):
+    path = tmp_path / "x.bin"
+    io.write_array_binary(path, np.ones((20, 2)))
+    with open(path, "ab") as f:
+        f.write(b"junk")
+    with pytest.raises(ValidationError, match="4 trailing bytes"):
+        io.read_array_binary(path)
+    assert main(["ci", "--panel", str(path), "--out", str(tmp_path / "c")]) == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +147,38 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert rc == 2
     rc = main(["ci", "--panel", str(out.with_suffix(".bin")), "--theta", "1.5"])
     assert rc == 2
+
+
+def _bad_csv_exit(tmp_path, capsys, argv, where):
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    body = json.loads(capsys.readouterr().err)
+    assert rc == 2 and body["type"] == "validation"
+    assert where in body["error"]
+
+
+def test_ragged_panel_csv_exit_code(tmp_path, capsys):
+    bad = tmp_path / "ragged.csv"
+    bad.write_text("t,x1,x2\n1,0.5,1.0\n2,0.25\n3,1.0,2.0\n")
+    _bad_csv_exit(tmp_path, capsys, ["ci", "--panel", str(bad)],
+                  f"{bad}, line 3")
+
+
+def test_non_numeric_panel_csv_exit_code(tmp_path, capsys):
+    bad = tmp_path / "text.csv"
+    bad.write_text("t,x1,x2\n1,0.5,1.0\n2,0.25,abc\n")
+    _bad_csv_exit(tmp_path, capsys, ["estimate", "--panel", str(bad)],
+                  f"{bad}, line 3")
+
+
+def test_null_csv_with_header_exit_code(tmp_path, capsys):
+    panel = tmp_path / "panel.bin"
+    io.write_array_binary(
+        panel, RngContract(4).derive("null").generator().standard_normal((200, 2)))
+    null = tmp_path / "null.csv"
+    null.write_text("x1,x2\n1,0\n0,1\n")
+    _bad_csv_exit(tmp_path, capsys,
+                  ["covtest", "--panel", str(panel), "--null", str(null)],
+                  f"{null}, line 1")
 
 
 def test_numerical_exit_code(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from hdts.covinf import (build_cov_panel, cov_dep_norm_bound,
                          cov_simultaneous_test, flat_to_pair, mc_cov_norms,
-                         n_pairs, pair_indices, pair_to_flat)
+                         n_pairs, pair_indices, pair_to_flat,
+                         product_block_sums)
 from hdts.depmeasure import closed_form_profile
 from hdts.errors import ValidationError
 from hdts.gboot import bootstrap_quantile
-from hdts.longrun import plan_blocks, sigma_tilde
+from hdts.longrun import _block_sums, plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
 
@@ -245,3 +246,17 @@ def test_cov_test_dimension_guard():
     panel = simulate(ProcessSpec("iid", p=6), 100, RNG.derive("guard"))
     with pytest.raises(ValidationError, match="coordinate subset"):
         cov_simultaneous_test(panel, 0.95, None, 1000, RNG, max_pairs=10)
+
+
+def test_product_block_sums_match_product_panel():
+    # n = 203 is not a multiple of M = 10: the 3 trailing rows enter
+    # gamma_hat but no block sum
+    panel = simulate(ProcessSpec("linear", p=6, alpha=1.0, K=10, h=1, rho=0.5),
+                     203, RNG.derive("gram"))
+    plan = plan_blocks(203, 10)
+    Y, gamma_hat = product_block_sums(panel, plan)
+    ref = build_cov_panel(panel)
+    want = _block_sums(ref.as_panel(), plan)
+    assert np.max(np.abs(Y - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(gamma_hat - ref.gamma_hat)) <= \
+        1e-12 * np.max(np.abs(ref.gamma_hat))

@@ -9,6 +9,7 @@ from hdts.depmeasure import (AuxNorms, DependenceProfile, adjusted_norm,
                              gaussian_maxabs_moment_root, mc_profile,
                              power_law_min_tau, ultra_high_dim_exponent)
 from hdts.errors import BoundaryError, ValidationError
+from hdts.longrun import f_alpha_factor
 from hdts.model import InnovationLaw, ProcessSpec, gaussian_abs_moment_root
 from hdts.rng import RngContract
 
@@ -252,6 +253,13 @@ def test_condition_boundary_and_regimes():
     # stronger-regime condition values by hand
     lhs = rep.L2 * max(rep.W1, rep.W2, rep.W3)
     assert rep.conditions[1].lhs == pytest.approx(lhs)
+
+
+def test_condition_check_uses_default_block_length():
+    # floor(1000^(1/3)) is 9 in floating point; the package default is 10
+    q, alpha = 8.0, 0.5
+    rep = ga_condition_check(synthetic(q=q, alpha=alpha), n=1000, p=50)
+    assert rep.F_alpha == f_alpha_factor(q, alpha, 100, 10)
 
 
 def test_condition_missing_pieces_raise():

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from hdts.errors import AssumptionError, NumericalError, ValidationError
 from hdts.gboot import bootstrap_quantile, psd_sqrt, simultaneous_ci
-from hdts.longrun import LongRunEstimate, plan_blocks
+from hdts.longrun import LongRunEstimate, plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
 
@@ -122,6 +124,64 @@ def test_ecdf_summary_shape():
     assert np.all(np.diff(bq.ecdf_u) >= 0.0)
     d = bq.to_json_dict()
     assert set(d) >= {"theta", "chi", "B", "chi_se", "clipped_mass"}
+
+
+# ---------------------------------------------------------------------------
+# factor form on block sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,p,M", [(300, 40, 10), (600, 6, 5)])
+def test_data_path_matches_matrix_path_in_law(n, p, M):
+    # w < p draws from the block sums, w > p from their triangular factor;
+    # the matrix path factors the same sigma through psd_sqrt
+    spec = ProcessSpec("linear", p=p, alpha=1.0, K=20, h=1, rho=0.5)
+    panel = simulate(spec, n, RNG.derive("paths", p))
+    est = sigma_tilde(panel, plan_blocks(n, M))
+    assert (est.plan.w < p) == (p == 40)
+    data = bootstrap_quantile(est, 0.95, 20_000, RNG.derive("paths-data", p))
+    mat = bootstrap_quantile(estimate_of(est.sigma), 0.95, 20_000,
+                             RNG.derive("paths-matrix", p))
+    assert data.clipped_mass == 0.0
+    assert abs(data.chi - mat.chi) < 3.0 * math.hypot(data.chi_se, mat.chi_se)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.sampled_from([3, 40]),
+       exps=st.lists(st.integers(-40, 40), min_size=5, max_size=5))
+def test_power_of_two_column_scaling_gives_identical_draws(seed, M, exps):
+    # n = 120, p = 5: M = 3 gives w = 40 > p (triangular factor), M = 40
+    # gives w = 3 <= p (the block sums themselves)
+    data = RngContract(seed).derive("pow2").generator().standard_normal((120, 5))
+    plan = plan_blocks(120, M)
+    base = sigma_tilde(Panel.from_data(data), plan)
+    scaled = sigma_tilde(Panel.from_data(data * np.ldexp(1.0, exps)), plan)
+    a = bootstrap_quantile(base, 0.95, 1000, RngContract(seed))
+    b = bootstrap_quantile(scaled, 0.95, 1000, RngContract(seed))
+    assert np.array_equal(a.draws, b.draws)
+
+
+def test_degeneracy_check_is_scale_invariant():
+    panel = simulate(ProcessSpec("linear", p=6, alpha=1.0, K=20, h=1, rho=0.5),
+                     400, RNG.derive("tiny"))
+    a = simultaneous_ci(panel, 0.95, None, 2000, RngContract(5))
+    b = simultaneous_ci(Panel.from_data(1e-6 * panel.data), 0.95, None, 2000,
+                        RngContract(5))
+    assert abs(a.chi - b.chi) < 1e-10
+
+
+def test_constant_column_raises_and_offset_column_does_not():
+    gen = RNG.derive("offset").generator()
+    data = gen.standard_normal((500, 4))
+    for M in (5, 250):  # w = 100 > p (triangular factor) and w = 2 < p
+        for const in (0.1, -3.7e8, 1e-300):
+            bad = data.copy()
+            bad[:, 2] = const
+            with pytest.raises(AssumptionError, match="column"):
+                simultaneous_ci(Panel.from_data(bad), 0.95, M, 2000, RNG)
+    shifted = data.copy()
+    shifted[:, 0] += 1e6
+    rep = simultaneous_ci(Panel.from_data(shifted), 0.95, None, 2000, RNG)
+    assert np.isfinite(rep.chi) and rep.clipped_mass == 0.0
 
 
 # ---------------------------------------------------------------------------
