@@ -19,12 +19,12 @@ from pathlib import Path
 from . import io
 from .depmeasure import DependenceProfile, closed_form_profile, ga_condition_check
 from .errors import HdtsError, NumericalError, ValidationError
-from .covinf import cov_simultaneous_test
+from .covinf import cov_simultaneous_test, pair_indices
 from .experiments import (ExperimentConfig, TOOL_VERSION, counterexample_demo,
                           coverage_experiment, ecdf_dump_rows, ga_distance,
                           mc_long_run_sigma, mdep_rate_check, rate_experiment)
 from .gboot import simultaneous_ci
-from .longrun import default_block_length, plan_blocks, sigma_tilde
+from .longrun import plan_blocks, sigma_tilde
 from .model import InnovationLaw, Panel, ProcessSpec, simulate
 from .rng import RngContract
 
@@ -195,11 +195,23 @@ def _opt_M(value: int) -> int | None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _manifest(args, command: str, config_path=None) -> io.RunManifest:
-    digest = io.config_digest_of(config_path) if config_path else None
-    return io.RunManifest(tool_version=TOOL_VERSION, command=command,
-                          base_seed=args.seed, threads=args.threads,
-                          config_digest=digest)
+def _write_outputs(args, command: str, manifest_path: Path, outputs,
+                   config_path=None) -> None:
+    """Write each (path, writer, *writer args) of outputs, then a manifest
+    holding their digests at manifest_path."""
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    man = io.RunManifest(
+        tool_version=TOOL_VERSION, command=command, base_seed=args.seed,
+        threads=args.threads,
+        config_digest=io.config_digest_of(config_path) if config_path else None)
+    for path, write, *write_args in outputs:
+        write(path, *write_args)
+        man.add_output(path)
+    man.write(manifest_path)
+
+
+def _beside(base: Path, suffix: str) -> Path:
+    return base.parent / (base.name + suffix)
 
 
 def cmd_simulate(args) -> int:
@@ -208,15 +220,11 @@ def cmd_simulate(args) -> int:
     n = _get(cfg, "simulate", "n", int, "integer")
     panel = simulate(spec, n, RngContract(args.seed))
     base = Path(args.out or "panel")
-    base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_suffix(".csv")
     bin_path = base.with_suffix(".bin")
-    io.write_panel_csv(csv_path, panel.data)
-    io.write_array_binary(bin_path, panel.data)
-    man = _manifest(args, "simulate", args.config)
-    man.add_output(csv_path)
-    man.add_output(bin_path)
-    man.write(base.parent / (base.name + ".manifest.json"))
+    _write_outputs(args, "simulate", _beside(base, ".manifest.json"),
+                   [(csv_path, io.write_panel_csv, panel.data),
+                    (bin_path, io.write_array_binary, panel.data)], args.config)
     print(f"wrote {csv_path} and {bin_path} (n={n}, p={spec.p})")
     return 0
 
@@ -224,22 +232,16 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     data = io.read_panel_any(args.panel)
     panel = Panel.from_data(data)
-    M = args.M if args.M > 0 else default_block_length(panel.n)
-    plan = plan_blocks(panel.n, M)
+    plan = plan_blocks(panel.n, _opt_M(args.M))
     est = sigma_tilde(panel, plan)
     base = Path(args.out or "estimate")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.parent / (base.name + ".sigma.csv")
-    bin_path = base.parent / (base.name + ".sigma.bin")
-    side_path = base.parent / (base.name + ".sigma.json")
-    io.write_matrix_csv(csv_path, est.sigma)
-    io.write_array_binary(bin_path, est.sigma)
-    io.write_json(side_path, {"kind": est.kind, "n": plan.n, "M": plan.M,
-                              "w": plan.w, "unused": plan.unused})
-    man = _manifest(args, "estimate")
-    for pth in (csv_path, bin_path, side_path):
-        man.add_output(pth)
-    man.write(base.parent / (base.name + ".manifest.json"))
+    csv_path = _beside(base, ".sigma.csv")
+    _write_outputs(args, "estimate", _beside(base, ".manifest.json"), [
+        (csv_path, io.write_matrix_csv, est.sigma),
+        (_beside(base, ".sigma.bin"), io.write_array_binary, est.sigma),
+        (_beside(base, ".sigma.json"), io.write_json,
+         {"kind": est.kind, "n": plan.n, "M": plan.M, "w": plan.w,
+          "unused": plan.unused})])
     print(f"wrote {csv_path} (p={est.p}, M={plan.M}, w={plan.w})")
     return 0
 
@@ -249,20 +251,16 @@ def cmd_ci(args) -> int:
     panel = Panel.from_data(data)
     report = simultaneous_ci(panel, args.theta, _opt_M(args.M), args.B,
                              RngContract(args.seed))
-    base = Path(args.out or "ci")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.parent / (base.name + ".ci.csv")
     rows = [{"j": j + 1, "mu_hat": float(report.mu_hat[j]),
              "lo": float(report.lo[j]), "hi": float(report.hi[j]),
              "sigma_tilde_jj": float(report.sigma_diag[j])}
             for j in range(report.mu_hat.shape[0])]
-    io.write_rows_csv(csv_path, rows, ["j", "mu_hat", "lo", "hi", "sigma_tilde_jj"])
-    side_path = base.parent / (base.name + ".ci.json")
-    io.write_json(side_path, report.sidecar_dict())
-    man = _manifest(args, "ci")
-    man.add_output(csv_path)
-    man.add_output(side_path)
-    man.write(base.parent / (base.name + ".manifest.json"))
+    base = Path(args.out or "ci")
+    csv_path = _beside(base, ".ci.csv")
+    _write_outputs(args, "ci", _beside(base, ".manifest.json"), [
+        (csv_path, io.write_rows_csv, rows,
+         ["j", "mu_hat", "lo", "hi", "sigma_tilde_jj"]),
+        (_beside(base, ".ci.json"), io.write_json, report.sidecar_dict())])
     print(f"wrote {csv_path} (chi={report.chi:.6g}, M={report.M}, w={report.w})")
     return 0
 
@@ -273,7 +271,6 @@ def cmd_covtest(args) -> int:
     null_gamma = io.read_matrix_csv(args.null) if args.null else None
     res = cov_simultaneous_test(panel, args.theta, _opt_M(args.M), args.B,
                                 RngContract(args.seed), null_gamma=null_gamma)
-    from .covinf import pair_indices
     js, ks = pair_indices(panel.p)
     rows = [{"j": int(js[a]) + 1, "k": int(ks[a]) + 1,
              "gamma_hat": float(res.gamma_hat[a]),
@@ -282,124 +279,131 @@ def cmd_covtest(args) -> int:
              "flag": int(res.pair_stats[a] > res.threshold)}
             for a in range(res.gamma_hat.shape[0])]
     base = Path(args.out or "covtest")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.parent / (base.name + ".covtest.csv")
-    io.write_rows_csv(csv_path, rows,
-                      ["j", "k", "gamma_hat", "stat", "threshold", "flag"])
-    side_path = base.parent / (base.name + ".covtest.json")
-    io.write_json(side_path, {"theta": res.theta, "statistic": res.statistic,
-                              "threshold": res.threshold, "reject": res.reject,
-                              "n": res.n, "M": res.M, "w": res.w, "B": res.B})
-    man = _manifest(args, "covtest")
-    man.add_output(csv_path)
-    man.add_output(side_path)
-    man.write(base.parent / (base.name + ".manifest.json"))
+    csv_path = _beside(base, ".covtest.csv")
+    _write_outputs(args, "covtest", _beside(base, ".manifest.json"), [
+        (csv_path, io.write_rows_csv, rows,
+         ["j", "k", "gamma_hat", "stat", "threshold", "flag"]),
+        (_beside(base, ".covtest.json"), io.write_json,
+         {"theta": res.theta, "statistic": res.statistic,
+          "threshold": res.threshold, "reject": res.reject,
+          "n": res.n, "M": res.M, "w": res.w, "B": res.B})])
     print(f"wrote {csv_path} (stat={res.statistic:.6g}, "
           f"threshold={res.threshold:.6g}, reject={res.reject})")
     return 0
+
+
+# Each experiment kind maps (cfg, spec, R, rng, args) to (rows, meta,
+# cell runtimes, ecdf cells); an ecdf cell is (name, sample, gauss).
+
+def _run_coverage(cfg, spec, R, rng, args):
+    config = ExperimentConfig(
+        spec=spec, kind="coverage", R=R,
+        B=_get(cfg, "experiment", "B", int, "integer"),
+        base_seed=args.seed,
+        n_list=_get(cfg, "experiment", "n", _int_list, "integer list"),
+        p_list=_get(cfg, "experiment", "p", _int_list, "integer list"),
+        M_list=[_opt_M(m) for m in
+                _get(cfg, "experiment", "M", _int_list, "integer list")],
+        theta_list=_get(cfg, "experiment", "theta", _float_list, "float list"),
+        threads=args.threads)
+    report = coverage_experiment(config)
+    return report.rows, {}, report.runtimes, []
+
+
+def _run_ga(cfg, spec, R, rng, args):
+    n = _get(cfg, "experiment", "n", _int_list, "integer list")[0]
+    n_perm = _get(cfg, "experiment", "n_perm", int, "integer")
+    sigma, meta = None, {}
+    if spec.family not in ("iid", "linear"):
+        sigma = mc_long_run_sigma(spec, rng=rng.derive("sigma-oracle"))
+        meta["sigma_oracle"] = "approximate-batched-mean"
+    res = ga_distance(spec, n, R, rng, sigma=sigma,
+                      n_perm=n_perm, threads=args.threads)
+    rows = [{"n": res.n, "p": res.p, "R": res.R, "ks": res.ks,
+             "pvalue": float("nan") if res.pvalue is None else res.pvalue}]
+    return rows, meta, [], [(f"ga_n{res.n}_p{res.p}", res.sample_stats, res.gauss_stats)]
+
+
+def _run_rate(cfg, spec, R, rng, args):
+    res = rate_experiment(
+        spec, _get(cfg, "experiment", "n_grid", _int_list, "integer list"),
+        R, rng, q=_get(cfg, "experiment", "q", float, "float"),
+        threads=args.threads)
+    meta = {"empirical_slope": res.empirical_slope,
+            "theoretical_slope": res.theoretical_slope}
+    return res.rows, meta, [], []
+
+
+def _run_mdep(cfg, spec, R, rng, args):
+    res = mdep_rate_check(
+        spec, _get(cfg, "experiment", "q", float, "float"), spec.alpha,
+        _get(cfg, "experiment", "m_grid", _int_list, "integer list"),
+        R, rng, n=_get(cfg, "experiment", "n", _int_list, "integer list")[0],
+        threads=args.threads)
+    return res.rows, {"slope": res.slope, "target_slope": res.target_slope}, [], []
+
+
+def _run_counterexample(cfg, spec, R, rng, args):
+    res = counterexample_demo(
+        _get(cfg, "experiment", "tail_index", float, "float"),
+        _get(cfg, "experiment", "n", _int_list, "integer list")[0],
+        _get(cfg, "experiment", "p_grid", _int_list, "integer list"),
+        R, rng, body=_get(cfg, "experiment", "body", str, "string").strip(),
+        threads=args.threads)
+    cells = [(f"ctrex_p{p_val}", samp, gauss)
+             for p_val, (samp, gauss) in res.samples.items()]
+    return res.rows, {}, [], cells
+
+
+_EXPERIMENTS = {
+    "coverage": _run_coverage,
+    "ga": _run_ga,
+    "rate": _run_rate,
+    "mdep": _run_mdep,
+    "counterexample": _run_counterexample,
+}
 
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     spec = build_spec(cfg)
     kind = _get(cfg, "experiment", "kind", str, "string").strip()
+    if kind not in _EXPERIMENTS:
+        raise ValidationError(
+            f"config field [experiment] kind: unknown kind {kind!r}; "
+            f"expected one of {sorted(_EXPERIMENTS)}")
     R = _get(cfg, "experiment", "R", int, "integer")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = RngContract(args.seed)
-    known = {"coverage", "ga", "rate", "mdep", "counterexample"}
-    if kind not in known:
-        raise ValidationError(
-            f"config field [experiment] kind: unknown kind {kind!r}; "
-            f"expected one of {sorted(known)}")
-
-    runtimes: list[float] = []
-    meta: dict = {"kind": kind, "family": spec.family}
-    ecdf_cells: list[tuple[str, list[dict]]] = []
-    if kind == "coverage":
-        config = ExperimentConfig(
-            spec=spec, kind="coverage", R=R,
-            B=_get(cfg, "experiment", "B", int, "integer"),
-            base_seed=args.seed,
-            n_list=_get(cfg, "experiment", "n", _int_list, "integer list"),
-            p_list=_get(cfg, "experiment", "p", _int_list, "integer list"),
-            M_list=[_opt_M(m) for m in
-                    _get(cfg, "experiment", "M", _int_list, "integer list")],
-            theta_list=_get(cfg, "experiment", "theta", _float_list, "float list"),
-            threads=args.threads)
-        report = coverage_experiment(config)
-        rows, runtimes = report.rows, report.runtimes
-    elif kind == "ga":
-        n = _get(cfg, "experiment", "n", _int_list, "integer list")[0]
-        n_perm = _get(cfg, "experiment", "n_perm", int, "integer")
-        sigma = None
-        if spec.family not in ("iid", "linear"):
-            sigma = mc_long_run_sigma(spec, rng=rng.derive("sigma-oracle"))
-            meta["sigma_oracle"] = "approximate-batched-mean"
-        res = ga_distance(spec, n, R, rng, sigma=sigma,
-                          n_perm=n_perm, threads=args.threads)
-        rows = [{"n": res.n, "p": res.p, "R": res.R, "ks": res.ks,
-                 "pvalue": float("nan") if res.pvalue is None else res.pvalue}]
-        ecdf_cells.append((f"ga_n{res.n}_p{res.p}",
-                           ecdf_dump_rows(res.sample_stats, res.gauss_stats)))
-    elif kind == "rate":
-        res = rate_experiment(
-            spec, _get(cfg, "experiment", "n_grid", _int_list, "integer list"),
-            R, rng, q=_get(cfg, "experiment", "q", float, "float"),
-            threads=args.threads)
-        rows = res.rows
-        meta["empirical_slope"] = res.empirical_slope
-        meta["theoretical_slope"] = res.theoretical_slope
-    elif kind == "mdep":
-        res = mdep_rate_check(
-            spec, _get(cfg, "experiment", "q", float, "float"), spec.alpha,
-            _get(cfg, "experiment", "m_grid", _int_list, "integer list"),
-            R, rng, n=_get(cfg, "experiment", "n", _int_list, "integer list")[0],
-            threads=args.threads)
-        rows = res.rows
-        meta["slope"] = res.slope
-        meta["target_slope"] = res.target_slope
-    else:
-        res = counterexample_demo(
-            _get(cfg, "experiment", "tail_index", float, "float"),
-            _get(cfg, "experiment", "n", _int_list, "integer list")[0],
-            _get(cfg, "experiment", "p_grid", _int_list, "integer list"),
-            R, rng, body=_get(cfg, "experiment", "body", str, "string").strip(),
-            threads=args.threads)
-        rows = res.rows
-        if args.dump_ecdf:
-            for p_val, (samp, gauss) in res.samples.items():
-                ecdf_cells.append((f"ctrex_p{p_val}", ecdf_dump_rows(samp, gauss)))
+    rows, meta, runtimes, ecdf_cells = _EXPERIMENTS[kind](
+        cfg, spec, R, RngContract(args.seed), args)
 
     csv_path = out_dir / "report.csv"
-    io.write_rows_csv(csv_path, rows)
-    man = _manifest(args, f"experiment:{kind}", args.config)
-    man.add_output(csv_path)
+    outputs = [(csv_path, io.write_rows_csv, rows)]
     if args.dump_ecdf:
-        for name, cell_rows in ecdf_cells:
-            pth = out_dir / f"{name}.ecdf.csv"
-            io.write_rows_csv(pth, cell_rows, ["u", "ecdf_sample", "ecdf_gauss"])
-            man.add_output(pth)
+        outputs += [(out_dir / f"{name}.ecdf.csv", io.write_rows_csv,
+                     ecdf_dump_rows(sample, gauss), ["u", "ecdf_sample", "ecdf_gauss"])
+                    for name, sample, gauss in ecdf_cells]
     io.write_json(out_dir / "report.meta.json",
-                  {"meta": meta, "cell_runtimes_sec": runtimes})
-    man.write(out_dir / "manifest.json")
+                  {"meta": {"kind": kind, "family": spec.family, **meta},
+                   "cell_runtimes_sec": runtimes})
+    _write_outputs(args, f"experiment:{kind}", out_dir / "manifest.json", outputs,
+                   args.config)
     print(f"wrote {csv_path} ({len(rows)} cells)")
     return 0
 
 
 def cmd_check_conditions(args) -> int:
-    if args.profile:
-        profile = DependenceProfile.from_json_dict(io.read_json(args.profile))
-    elif args.config:
-        cfg = _load_config(args.config)
-        spec = build_spec(cfg)
-        nu = args.nu if args.sub_exponential else None
-        profile = closed_form_profile(spec, args.q, args.alpha, nu=nu)
-    else:
-        raise ValidationError("check-conditions needs --profile or --config")
     if args.sub_exponential and args.nu is None:
         raise ValidationError("--sub-exponential requires --nu")
     nu = args.nu if args.sub_exponential else None
+    if args.profile:
+        profile = DependenceProfile.from_json_dict(io.read_json(args.profile))
+    elif args.config:
+        spec = build_spec(_load_config(args.config))
+        profile = closed_form_profile(spec, args.q, args.alpha, nu=nu)
+    else:
+        raise ValidationError("check-conditions needs --profile or --config")
     report = ga_condition_check(profile, args.n, p=args.p, nu=nu)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     if args.out:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depmeasure import AuxNorms, DependenceProfile, adjusted_norm, _tail_sums
+from .depmeasure import (AuxNorms, DependenceProfile, adjusted_norm, adjusted_norms,
+                         _tail_sums)
 from .errors import ValidationError
 from .gboot import bootstrap_quantile
-from .longrun import (BlockPlan, LongRunEstimate, _abs_max, default_block_length,
-                      plan_blocks)
+from .longrun import BlockPlan, LongRunEstimate, _abs_max, plan_blocks
 from .model import Panel, ProcessSpec, simulate_coupled
 from .rng import RngContract
 
@@ -135,7 +135,7 @@ def cov_dep_norm_bound(profile: DependenceProfile) -> CovNormBound:
     if profile.Delta is None or profile.coord_norms is None:
         raise ValidationError("base profile lacks per-coordinate tail sums")
     norms_a = np.asarray(profile.coord_norms, dtype=float)
-    norms_0 = np.array([adjusted_norm(profile.Delta[:, j], 0.0) for j in range(p)])
+    norms_0 = adjusted_norms(profile.Delta, 0.0)
 
     js, ks = pair_indices(p)
     per_pair = 2.0 * norms_0[js] * norms_a[ks] + 2.0 * norms_0[ks] * norms_a[js]
@@ -194,11 +194,7 @@ def mc_cov_norms(spec: ProcessSpec, q: float, alpha: float, R: int,
     def norm_from_weights(w: np.ndarray) -> np.ndarray:
         mom = (w @ absdiff.reshape(R, -1) ** q2).reshape(-1, n, m)
         phi = np.clip(mom, 0.0, None) ** (1.0 / q2)
-        out = np.empty((phi.shape[0], m))
-        for b in range(phi.shape[0]):
-            Delta = _tail_sums(phi[b])
-            out[b] = [adjusted_norm(Delta[:, a], alpha) for a in range(m)]
-        return out
+        return np.array([adjusted_norms(_tail_sums(phi_b), alpha) for phi_b in phi])
 
     norms = norm_from_weights(np.full((1, R), 1.0 / R))[0]
     bgen = rng.derive("mc-cov-boot").generator()
@@ -249,7 +245,6 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
         raise ValidationError(
             f"p(p+1)/2 = {n_pairs(p)} exceeds the guard of {max_pairs} columns; "
             "test a coordinate subset")
-    M = M if M is not None else default_block_length(panel.n)
     plan = plan_blocks(panel.n, M)
     Y, gamma_hat = product_block_sums(panel, plan)
     js, ks = pair_indices(p)

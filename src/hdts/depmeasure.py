@@ -16,11 +16,16 @@ from scipy import integrate
 from scipy.stats import norm
 
 from .errors import BoundaryError, ValidationError
-from .longrun import default_block_length, f_alpha_factor
+from .longrun import f_alpha_factor, plan_blocks
 from .model import ProcessSpec, gaussian_abs_moment_root, simulate_coupled
 from .rng import RngContract
 
-_AUX_ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0)
+# AuxNorms attributes (at decay 0, at the profile's alpha) per auxiliary order
+_AUX_NAMES = {2.0: ("psi_2_0", "psi_2_a"), 3.0: ("psi_3_0", None),
+              4.0: ("psi_4_0", "psi_4_a"), 6.0: ("psi_6_0", None),
+              8.0: ("psi_8_0", None)}
+# the orders ga_condition_check and theoretical_rate read
+_MC_AUX_ORDERS = (2.0, 3.0, 4.0)
 
 
 def gaussian_maxabs_moment_root(p: int, q: float) -> float:
@@ -141,13 +146,41 @@ def adjusted_norm(Delta, alpha: float) -> float:
     Delta = np.asarray(Delta, dtype=float)
     if Delta.size == 0:
         raise ValidationError("adjusted_norm needs at least one tail sum")
+    return float(adjusted_norms(Delta[:, None], alpha)[0])
+
+
+def adjusted_norms(Delta: np.ndarray, alpha: float) -> np.ndarray:
+    """adjusted_norm of each column of a (lags, k) array of tail sums."""
     m = np.arange(Delta.shape[0], dtype=float)
-    return float(np.max((m + 1.0) ** alpha * Delta))
+    return np.max(((m + 1.0) ** alpha)[:, None] * Delta, axis=0)
 
 
 def _tail_sums(values: np.ndarray) -> np.ndarray:
     """Delta[m] = sum_{i >= m} values[i] along axis 0 (same shape as input)."""
     return np.flip(np.cumsum(np.flip(values, axis=0), axis=0), axis=0)
+
+
+def _coord_scale(spec: ProcessSpec, order: float) -> np.ndarray:
+    """kappa_j with delta_{i,order,j} = c_i kappa_j; exact for Gaussian
+    innovations, and for any law with a closed coupling moment when h = 0."""
+    return spec.innovation.diff_norm(order) * np.linalg.norm(spec.cross_mixer(), axis=1)
+
+
+def _aggregate(Delta: np.ndarray, Omega: np.ndarray, q: float, alpha: float):
+    """(coord_norms, Psi, Upsilon, sup_norm, Theta) from the tail sums."""
+    coord_norms = adjusted_norms(Delta, alpha)
+    Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
+    sup_norm = adjusted_norm(Omega, alpha)
+    Theta = min(Upsilon, sup_norm * math.log(Delta.shape[1]))
+    return coord_norms, float(np.max(coord_norms)), Upsilon, sup_norm, Theta
+
+
+def _set_aux(aux: AuxNorms, order: float, psi0: float, psia: float) -> None:
+    """Store Psi_{order,0}, and Psi_{order,alpha} where AuxNorms has it."""
+    name_0, name_a = _AUX_NAMES[order]
+    setattr(aux, name_0, psi0)
+    if name_a:
+        setattr(aux, name_a, psia)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +229,10 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
     p = spec.p
     c = spec.lag_weights()                       # (K+1,), [1.0] for iid
     B = spec.cross_mixer()
-    b_row = np.linalg.norm(B, axis=1)            # ||B[j,:]||_2, all 1 when h=0
 
-    def coord_scale(order: float) -> np.ndarray:
-        """kappa_j such that delta_{i,order,j} = c_i * kappa_j."""
-        if law.kind == "standard-gaussian":
-            return math.sqrt(2.0) * gaussian_abs_moment_root(order) * b_row
-        return law.diff_norm(order) * np.ones(p)
-
-    kappa = coord_scale(q)
+    kappa = _coord_scale(spec, q)
     delta = c[:, None] * kappa[None, :]
     Delta = _tail_sums(delta)
-    coord_norms = np.array([adjusted_norm(Delta[:, j], alpha) for j in range(p)])
-    Psi = float(np.max(coord_norms))
-    Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
 
     omega_se = None
     source: dict = {"kind": "closed-form"}
@@ -234,28 +257,16 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
 
     omega = omega_base * c
     Omega = _tail_sums(omega)
-    sup_norm = adjusted_norm(Omega, alpha)
-    Theta = min(Upsilon, sup_norm * math.log(p))
+    coord_norms, Psi, Upsilon, sup_norm, Theta = _aggregate(Delta, Omega, q, alpha)
 
     # uniform norms at auxiliary orders; s_a = sup_m (m+1)^a sum_{i>=m} c_i
     tail_c = _tail_sums(c)
     s_of = lambda a: adjusted_norm(tail_c, a)
     aux = AuxNorms()
-    for order in _AUX_ORDERS:
-        if not law.admits_moment(order):
-            continue
-        psi0 = float(np.max(coord_scale(order)) * s_of(0.0))
-        psia = float(np.max(coord_scale(order)) * s_of(alpha))
-        if order == 2.0:
-            aux.psi_2_0, aux.psi_2_a = psi0, psia
-        elif order == 3.0:
-            aux.psi_3_0 = psi0
-        elif order == 4.0:
-            aux.psi_4_0, aux.psi_4_a = psi0, psia
-        elif order == 6.0:
-            aux.psi_6_0 = psi0
-        elif order == 8.0:
-            aux.psi_8_0 = psi0
+    for order in _AUX_NAMES:
+        if law.admits_moment(order):
+            k_max = np.max(_coord_scale(spec, order))
+            _set_aux(aux, order, float(k_max * s_of(0.0)), float(k_max * s_of(alpha)))
 
     Phi = Phi_0 = None
     if nu is not None:
@@ -264,8 +275,9 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
                 "sub-exponential norms are only available in closed form for "
                 "Gaussian innovations")
         g = _sup_q_scaling(nu)
-        Phi = float(math.sqrt(2.0) * np.max(b_row) * s_of(alpha) * g)
-        Phi_0 = float(math.sqrt(2.0) * np.max(b_row) * s_of(0.0) * g)
+        b_max = np.max(np.linalg.norm(B, axis=1))
+        Phi = float(math.sqrt(2.0) * b_max * s_of(alpha) * g)
+        Phi_0 = float(math.sqrt(2.0) * b_max * s_of(0.0) * g)
 
     return DependenceProfile(
         q=q, alpha=alpha, p=p, Psi=Psi, Upsilon=Upsilon, sup_norm=sup_norm,
@@ -321,53 +333,37 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
 
     source: dict = {"kind": "monte-carlo", "R": R, "lags": lags,
                     "bootstrap": bootstrap}
+    law = spec.innovation
+    extend = spec.family == "linear" and spec.K > lags
+    c = spec.lag_weights()
 
-    if spec.family == "linear" and spec.K > lags:
-        # scalar lag structure: delta_i = c_i * kappa_j, extrapolate with
-        # kappa from the closed form when available, else from lag 0
-        c = spec.lag_weights()
-        law = spec.innovation
-        if law.kind == "standard-gaussian":
-            kappa = math.sqrt(2.0) * gaussian_abs_moment_root(q) * \
-                np.linalg.norm(spec.cross_mixer(), axis=1)
-            source["tail"] = "closed-form"
-        elif law.kind == "student-t" and spec.h == 0:
-            kappa = law.diff_norm(q) * np.ones(p)
-            source["tail"] = "closed-form"
-        else:
-            kappa = delta[0] / c[0]
-            source["tail"] = "extrapolated-from-lag-0"
-        delta_ext = np.vstack([delta, c[lags + 1:, None] * kappa[None, :]])
-        omega_ext = np.concatenate([omega, c[lags + 1:] * (omega[0] / c[0])])
-    else:
-        delta_ext = delta
-        omega_ext = omega
+    def tail_sums(d: np.ndarray, kappa=None) -> np.ndarray:
+        """Tail sums of d; for the linear family the scalar lag structure
+        d_i = c_i * kappa extends d past the horizon, with kappa from lag 0
+        unless given."""
+        if extend:
+            kappa = d[0] / c[0] if kappa is None else kappa
+            d = np.concatenate([d, np.multiply.outer(c[lags + 1:], kappa)])
+        return _tail_sums(d)
+
+    kappa = None
+    if not extend:
         source["truncation_lag"] = lags
-
-    Delta = _tail_sums(delta_ext)
-    Omega = _tail_sums(omega_ext)
-    coord_norms = np.array([adjusted_norm(Delta[:, j], alpha) for j in range(p)])
-    Psi = float(np.max(coord_norms))
-    Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
-    sup_norm = adjusted_norm(Omega, alpha)
-    Theta = min(Upsilon, sup_norm * math.log(p))
+    elif law.kind == "standard-gaussian" or (law.kind == "student-t" and spec.h == 0):
+        kappa = _coord_scale(spec, q)
+        source["tail"] = "closed-form"
+    else:
+        source["tail"] = "extrapolated-from-lag-0"
+    Delta = tail_sums(delta, kappa)
+    Omega = tail_sums(omega)
+    coord_norms, Psi, Upsilon, sup_norm, Theta = _aggregate(Delta, Omega, q, alpha)
 
     aux = AuxNorms()
-    for order, names in ((2.0, ("psi_2_0", "psi_2_a")),
-                         (3.0, ("psi_3_0", None)),
-                         (4.0, ("psi_4_0", "psi_4_a"))):
-        if not spec.innovation.admits_moment(order):
-            continue
-        d_o = power_mean_root(order)
-        if spec.family == "linear" and spec.K > lags:
-            c = spec.lag_weights()
-            d_o = np.vstack([d_o, c[lags + 1:, None] * (d_o[0] / c[0])[None, :]])
-        D_o = _tail_sums(d_o)
-        psi0 = float(max(adjusted_norm(D_o[:, j], 0.0) for j in range(p)))
-        setattr(aux, names[0], psi0)
-        if names[1]:
-            psia = float(max(adjusted_norm(D_o[:, j], alpha) for j in range(p)))
-            setattr(aux, names[1], psia)
+    for order in _MC_AUX_ORDERS:
+        if law.admits_moment(order):
+            D_o = tail_sums(power_mean_root(order))
+            _set_aux(aux, order, float(np.max(adjusted_norms(D_o, 0.0))),
+                     float(np.max(adjusted_norms(D_o, alpha))))
 
     return DependenceProfile(
         q=q, alpha=alpha, p=p, Psi=Psi, Upsilon=Upsilon, sup_norm=sup_norm,
@@ -502,10 +498,9 @@ def ga_condition_check(profile: DependenceProfile, n: int,
     N3 = (n ** 0.5 * lp ** (-0.5) / Theta) ** (1.0 / (0.5 - alpha)) \
         if alpha < 0.5 else None
 
-    M_eff = M if M is not None else default_block_length(n)
-    w_eff = n // M_eff
+    plan = plan_blocks(n, M)
     try:
-        F_alpha = f_alpha_factor(q, alpha, w_eff, M_eff)
+        F_alpha = f_alpha_factor(q, alpha, plan.w, plan.M)
     except BoundaryError:
         F_alpha = None
 

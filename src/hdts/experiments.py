@@ -17,10 +17,11 @@ from scipy.stats import norm
 
 from .errors import ValidationError
 from .gboot import psd_sqrt, simultaneous_ci
-from .longrun import (default_block_length, plan_blocks, sigma_tilde,
-                      theoretical_rate, true_sigma)
+from .io import rows_csv_text
+from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
 from .depmeasure import closed_form_profile
-from .model import InnovationLaw, ProcessSpec, m_dependent_approx, simulate
+from .model import (InnovationLaw, ProcessSpec, gaussian_abs_moment_root,
+                    m_dependent_approx, simulate)
 from .rng import RngContract
 from .util import fit_loglog_slope, run_indexed
 
@@ -84,7 +85,6 @@ def mc_long_run_sigma(spec: ProcessSpec, length: int = 10 ** 6,
     """
     rng = rng if rng is not None else RngContract(0)
     panel = simulate(spec, length, rng.derive("long-path"))
-    M = M if M is not None else default_block_length(length)
     return sigma_tilde(panel, plan_blocks(length, M)).sigma
 
 
@@ -141,11 +141,6 @@ class ExperimentConfig:
     p_list: list[int] | None = None
     M_list: list[int | None] = field(default_factory=lambda: [None])
     theta_list: list[float] = field(default_factory=lambda: [0.95])
-    n_grid: list[int] = field(default_factory=list)
-    m_grid: list[int] = field(default_factory=list)
-    p_grid: list[int] = field(default_factory=list)
-    q: float = 8.0
-    n_perm: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -166,30 +161,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    kind: str
     rows: list[dict]
-    base_seed: int
-    runtimes: list[float]
-    meta: dict = field(default_factory=dict)
-
-    def columns(self) -> list[str]:
-        return list(self.rows[0].keys()) if self.rows else []
+    runtimes: list[float]        # seconds per grid cell
 
     def to_csv_text(self) -> str:
-        cols = self.columns()
-        lines = [",".join(cols)]
-        for row in self.rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def manifest_dict(self) -> dict:
-        return {"kind": self.kind, "tool_version": TOOL_VERSION,
-                "base_seed": self.base_seed, "meta": self.meta,
-                "cell_runtimes_sec": self.runtimes}
+        return rows_csv_text(self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +199,7 @@ def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
             "median_halfwidth": float(np.median(widths)),
         })
         runtimes.append(time.perf_counter() - t0)
-    return ExperimentReport(kind="coverage", rows=rows,
-                            base_seed=config.base_seed, runtimes=runtimes,
-                            meta={"family": config.spec.family})
+    return ExperimentReport(rows=rows, runtimes=runtimes)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +228,12 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
         raise ValidationError(f"need an n-grid with >= 3 points, got {len(n_grid)}")
     sigma = true_sigma(spec)
     profile = closed_form_profile(spec, q, spec.alpha)
-    rule = M_rule if M_rule is not None else default_block_length
     med = np.empty(len(n_grid))
     rn = np.empty(len(n_grid))
     rows = []
     for gi, n in enumerate(n_grid):
-        M = rule(n)
-        plan = plan_blocks(n, M)
+        plan = plan_blocks(n, M_rule(n) if M_rule is not None else None)
+        M = plan.M
 
         def one_rep(r: int, _n=n, _plan=plan, _gi=gi):
             panel = simulate(spec, _n, rng.derive("rate-panel", _gi * 10 ** 6 + r))
@@ -314,7 +287,6 @@ def mdep_oracle_norm(spec: ProcessSpec, n: int, m: int, q: float = 2.0) -> np.nd
     scale = math.sqrt(law.variance * ssq) * b_row
     if q == 2.0:
         return scale
-    from .model import gaussian_abs_moment_root
     return gaussian_abs_moment_root(q) * scale
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, NumericalError, ValidationError
-from .longrun import LongRunEstimate, default_block_length, plan_blocks, sigma_tilde
+from .longrun import LongRunEstimate, plan_blocks, sigma_tilde
 from .model import Panel
 from .rng import RngContract
 
@@ -75,8 +75,15 @@ class BootstrapQuantile:
     chi_se: float
     clipped_mass: float
     draws: np.ndarray            # unsorted, in stream order
-    ecdf_u: np.ndarray           # 512-point quantile grid of the draws
-    ecdf_p: np.ndarray
+
+    @property
+    def ecdf_p(self) -> np.ndarray:
+        return (np.arange(512) + 0.5) / 512.0
+
+    @property
+    def ecdf_u(self) -> np.ndarray:
+        """512-point quantile grid of the draws, built only when read."""
+        return np.quantile(self.draws, self.ecdf_p)
 
     def to_json_dict(self) -> dict:
         return {"theta": self.theta, "chi": self.chi, "B": self.B,
@@ -160,11 +167,8 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
     sorted_draws = np.sort(draws)
     chi = _order_statistic(sorted_draws, theta)
     se = _quantile_se(sorted_draws, theta)
-    probs = (np.arange(512) + 0.5) / 512.0
-    grid = np.quantile(sorted_draws, probs)
     return BootstrapQuantile(theta=theta, chi=chi, B=B, chi_se=se,
-                             clipped_mass=clipped_mass, draws=draws,
-                             ecdf_u=grid, ecdf_p=probs)
+                             clipped_mass=clipped_mass, draws=draws)
 
 
 @dataclass
@@ -206,7 +210,6 @@ def simultaneous_ci(panel: Panel, theta: float, M: int | None, B: int,
     quantile -> intervals mu_hat_j +/- chi * sqrt(sigma_tilde_jj) / sqrt(n).
     The sqrt(n) divisor matches the CLT scaling of sqrt(n)(X_bar - mu).
     """
-    M = M if M is not None else default_block_length(panel.n)
     plan = plan_blocks(panel.n, M)
     est = sigma_tilde(panel, plan)
     bq = bootstrap_quantile(est, theta, B, rng)

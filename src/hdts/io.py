@@ -128,18 +128,23 @@ def read_panel_any(path) -> np.ndarray:
     return read_array_binary(path) if head == MAGIC else read_panel_csv(path)
 
 
-def write_rows_csv(path, rows: list[dict], columns: list[str] | None = None) -> None:
+def rows_csv_text(rows: list[dict], columns: list[str] | None = None) -> str:
+    """CSV text of dict rows: a header, then floats with %.17g and other
+    values with str.  Columns default to the keys of the first row."""
     if not rows:
         raise ValidationError("no rows to write")
     cols = columns if columns is not None else list(rows[0].keys())
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
+                              for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def write_rows_csv(path, rows: list[dict], columns: list[str] | None = None) -> None:
+    text = rows_csv_text(rows, columns)
     with open(path, "w", newline="") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(_fmt(v) if isinstance(v, float) else str(v))
-            f.write(",".join(cells) + "\n")
+        f.write(text)
 
 
 def write_json(path, obj) -> None:

@@ -40,7 +40,13 @@ class BlockPlan:
         return range((b - 1) * self.M, b * self.M)
 
 
-def plan_blocks(n: int, M: int) -> BlockPlan:
+def plan_blocks(n: int, M: int | None = None) -> BlockPlan:
+    """Blocks of length M, or of the default length floor(n^(1/3)) when M is None.
+
+    This is the one place the default block length is resolved.
+    """
+    if M is None:
+        M = default_block_length(n)
     if M < 1 or M > n:
         raise ValidationError(f"block length M must satisfy 1 <= M <= n, got M={M}, n={n}")
     return BlockPlan(n=n, M=M, w=n // M)
@@ -246,11 +252,6 @@ class RateInfo:
     bias_term: float
     regime: str
 
-    def to_json_dict(self):
-        return {k: getattr(self, k) for k in
-                ("r_n", "v_M", "F_alpha", "n", "M", "w",
-                 "variance_term", "bias_term", "regime")}
-
 
 def theoretical_rate(profile, n: int, M: int | None = None,
                      nu: float | None = None) -> RateInfo:
@@ -261,9 +262,8 @@ def theoretical_rate(profile, n: int, M: int | None = None,
     gamma = 1/(1+2*nu).
     """
     q, alpha, p = profile.q, profile.alpha, profile.p
-    M = M if M is not None else default_block_length(n)
     plan = plan_blocks(n, M)
-    w = plan.w
+    M, w = plan.M, plan.w
     aux = profile.aux
     if aux.psi_2_0 is None or aux.psi_2_a is None:
         raise ValidationError("profile lacks Psi_{2,0} / Psi_{2,alpha}")

@@ -319,3 +319,54 @@ def test_check_conditions_profile_round_trip(tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["p"] == 4.0 and rep["q"] == 8.0
+
+
+def test_estimate_rejects_negative_block_length(tmp_path, capsys):
+    panel = tmp_path / "x.bin"
+    io.write_array_binary(panel, np.ones((30, 2)))
+    rc = main(["estimate", "--panel", str(panel), "--M", "-3",
+               "--out", str(tmp_path / "est")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+    assert not (tmp_path / "est.sigma.csv").exists()
+
+
+def test_experiment_unknown_kind_creates_no_out_dir(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(DEFAULT_CONFIG.replace("kind = coverage", "kind = frobnicate"))
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+
+
+def test_check_conditions_requires_nu_before_building_profile(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("profile built before --nu was checked")
+    monkeypatch.setattr("hdts.cli.closed_form_profile", fail)
+    cfg = write_config(tmp_path / "cfg.ini")
+    rc = main(["check-conditions", "--config", cfg, "--n", "4096", "--sub-exponential"])
+    assert rc == 2
+    assert "--nu" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("kind", ["rate", "mdep"])
+def test_experiment_cli_matches_library(tmp_path, kind):
+    from hdts.cli import _load_config, build_spec
+    from hdts.experiments import mdep_rate_check, rate_experiment
+    body = DEFAULT_CONFIG.replace("kind = coverage", f"kind = {kind}") \
+                         .replace("K = 200", "K = 20") \
+                         .replace("R = 200", "R = 6") \
+                         .replace("n = 500", "n = 128") \
+                         .replace("n_grid = 512,1024,2048,4096", "n_grid = 64,128,256") \
+                         .replace("m_grid = 16,32,64,128,256", "m_grid = 2,4,8")
+    cfg = tmp_path / f"{kind}.ini"
+    cfg.write_text(body)
+    assert main(["--seed", "17", "--threads", "2", "experiment", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    spec = build_spec(_load_config(cfg))
+    if kind == "rate":
+        res = rate_experiment(spec, [64, 128, 256], 6, RngContract(17), q=8.0)
+    else:
+        res = mdep_rate_check(spec, 8.0, spec.alpha, [2, 4, 8], 6, RngContract(17), n=128)
+    io.write_rows_csv(tmp_path / "lib.csv", res.rows)
+    assert (tmp_path / "out" / "report.csv").read_bytes() == \
+        (tmp_path / "lib.csv").read_bytes()

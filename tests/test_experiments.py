@@ -223,3 +223,13 @@ def test_counterexample_guards_and_diagnostics():
         rel=1e-10)
     assert set(ecdf_dump_rows(*res.samples[32])[0]) == {"u", "ecdf_sample",
                                                         "ecdf_gauss"}
+
+
+def test_report_csv_text_equals_written_rows(tmp_path):
+    from hdts import io
+    from hdts.experiments import ExperimentReport
+    rows = [{"n": 100, "kind": "ga", "ks": 0.1, "pvalue": float("nan")},
+            {"n": np.int64(200), "kind": "ga", "ks": np.float64(1 / 3), "pvalue": 1e-300}]
+    report = ExperimentReport(rows=rows, runtimes=[])
+    io.write_rows_csv(tmp_path / "r.csv", rows)
+    assert (tmp_path / "r.csv").read_bytes() == report.to_csv_text().encode()
