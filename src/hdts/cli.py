@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, ci, covtest, experiment,
-check-conditions.  Global flags --seed / --threads / --out.  Exit codes:
+check-conditions.  Global flags --seed / --threads / --print-defaults.
+Only simulate, experiment and check-conditions read a config; estimate,
+ci and covtest take their settings from flags.  Exit codes:
 0 success, 2 validation error, 3 numerical failure, with a JSON error
 body on stderr.  Results are bit-identical to in-process library calls
 with the same seed, and independent of --threads.
@@ -49,19 +51,6 @@ body = uniform
 
 [simulate]
 n = 1000
-
-[estimate]
-M = 0
-
-[ci]
-theta = 0.95
-B = 2000
-M = 0
-
-[covtest]
-theta = 0.95
-B = 2000
-M = 0
 
 [experiment]
 kind = coverage
@@ -297,7 +286,7 @@ def cmd_covtest(args) -> int:
 
 def _run_coverage(cfg, spec, R, rng, args):
     config = ExperimentConfig(
-        spec=spec, kind="coverage", R=R,
+        spec=spec, R=R,
         B=_get(cfg, "experiment", "B", int, "integer"),
         base_seed=args.seed,
         n_list=_get(cfg, "experiment", "n", _int_list, "integer list"),
@@ -428,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker threads (default: all cores); results are "
                          "independent of this")
-    ap.add_argument("--out", dest="out_global", default=None,
-                    help="output base path (subcommand --out takes precedence)")
     ap.add_argument("--print-defaults", action="store_true",
                     help="print the default config and exit")
     sub = ap.add_subparsers(dest="command")
@@ -495,8 +482,6 @@ def main(argv=None) -> int:
     if not args.command:
         ap.print_help()
         return 0
-    if getattr(args, "out", None) is None and args.out_global is not None:
-        args.out = args.out_global
     try:
         return _DISPATCH[args.command](args)
     except NumericalError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depmeasure import (AuxNorms, DependenceProfile, adjusted_norm, adjusted_norms,
-                         _tail_sums)
+                         _SE_RESAMPLES, _tail_sums)
 from .errors import ValidationError
 from .gboot import bootstrap_quantile
 from .longrun import BlockPlan, LongRunEstimate, _abs_max, plan_blocks
@@ -61,7 +61,7 @@ class CovPanel:
         return self.data.shape[0]
 
     def as_panel(self) -> Panel:
-        return Panel.from_data(self.data, note="cov-products")
+        return Panel.from_data(self.data)
 
 
 def build_cov_panel(panel: Panel) -> CovPanel:
@@ -170,8 +170,7 @@ def cov_dep_norm_bound(profile: DependenceProfile) -> CovNormBound:
 
 
 def mc_cov_norms(spec: ProcessSpec, q: float, alpha: float, R: int,
-                 rng: RngContract, lags: int = 30,
-                 bootstrap: int = 200) -> tuple[np.ndarray, np.ndarray]:
+                 rng: RngContract, lags: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of ||prod_{.a}||_{q/2, alpha} for every pair.
 
     Returns (norms, bootstrap standard errors), truncated at the simulated
@@ -198,7 +197,7 @@ def mc_cov_norms(spec: ProcessSpec, q: float, alpha: float, R: int,
 
     norms = norm_from_weights(np.full((1, R), 1.0 / R))[0]
     bgen = rng.derive("mc-cov-boot").generator()
-    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=bootstrap) / R
+    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=_SE_RESAMPLES) / R
     boot = norm_from_weights(weights)
     return norms, boot.std(axis=0, ddof=1)
 
@@ -215,7 +214,6 @@ class CovTestResult:
     threshold: float             # bootstrap quantile chi
     theta: float
     gamma_hat: np.ndarray
-    gamma_null: np.ndarray
     tau: np.ndarray
     pair_stats: np.ndarray
     flagged: np.ndarray          # (count, 2) array of flagged (j, k) pairs
@@ -273,6 +271,5 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
     mask = pair_stats > bq.chi
     flagged = np.column_stack([js[mask], ks[mask]])
     return CovTestResult(statistic=statistic, threshold=bq.chi, theta=theta,
-                         gamma_hat=gamma_hat, gamma_null=null_flat,
-                         tau=tau, pair_stats=pair_stats, flagged=flagged,
-                         n=panel.n, M=plan.M, w=plan.w, B=B)
+                         gamma_hat=gamma_hat, tau=tau, pair_stats=pair_stats,
+                         flagged=flagged, n=panel.n, M=plan.M, w=plan.w, B=B)

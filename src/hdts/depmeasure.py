@@ -26,6 +26,10 @@ _AUX_NAMES = {2.0: ("psi_2_0", "psi_2_a"), 3.0: ("psi_3_0", None),
               8.0: ("psi_8_0", None)}
 # the orders ga_condition_check and theoretical_rate read
 _MC_AUX_ORDERS = (2.0, 3.0, 4.0)
+# Monte Carlo draws of max_j |eps_j - eps'_j| for the closed-form omega
+_OMEGA_DRAWS = 10 ** 5
+# multinomial resamples of the replications behind each Monte Carlo standard error
+_SE_RESAMPLES = 200
 
 
 def gaussian_maxabs_moment_root(p: int, q: float) -> float:
@@ -199,9 +203,7 @@ def _sup_q_scaling(nu: float) -> float:
 
 
 def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
-                        nu: float | None = None,
-                        maxabs_draws: int = 10 ** 5,
-                        rng: RngContract | None = None) -> DependenceProfile:
+                        nu: float | None = None) -> DependenceProfile:
     """Exact dependence profile for iid/linear specs with Gaussian or
     student-t innovations.
 
@@ -209,7 +211,7 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
     student-t is supported for h = 0 (single-coordinate rows), with the
     coupling moment computed by quadrature.  The L^inf measures omega use
     quadrature when the cross-section is independent and Monte Carlo
-    (maxabs_draws draws, standard error recorded) otherwise.
+    (10^5 draws from RngContract(0), standard error recorded) otherwise.
     """
     if spec.family not in ("iid", "linear"):
         raise ValidationError(
@@ -243,17 +245,17 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
         omega_base = math.sqrt(2.0) * gaussian_maxabs_moment_root(p, q)
         source["omega"] = "quadrature"
     else:
-        gen = (rng or RngContract(0)).derive("omega-maxabs").generator()
+        gen = RngContract(0).derive("omega-maxabs").generator()
         if law.kind == "standard-gaussian":
-            D = math.sqrt(2.0) * gen.standard_normal((maxabs_draws, p)) @ B.T
+            D = math.sqrt(2.0) * gen.standard_normal((_OMEGA_DRAWS, p)) @ B.T
         else:
-            D = law.sample(gen, (maxabs_draws, p)) - law.sample(gen, (maxabs_draws, p))
+            D = law.sample(gen, (_OMEGA_DRAWS, p)) - law.sample(gen, (_OMEGA_DRAWS, p))
         v = np.max(np.abs(D), axis=1) ** q
         omega_base = float(np.mean(v) ** (1.0 / q))
-        se_mean = float(np.std(v, ddof=1) / math.sqrt(maxabs_draws))
+        se_mean = float(np.std(v, ddof=1) / math.sqrt(_OMEGA_DRAWS))
         omega_se_base = se_mean / q * np.mean(v) ** (1.0 / q - 1.0)
         omega_se = omega_se_base * c
-        source["omega"] = {"mode": "monte-carlo", "draws": maxabs_draws}
+        source["omega"] = {"mode": "monte-carlo", "draws": _OMEGA_DRAWS}
 
     omega = omega_base * c
     Omega = _tail_sums(omega)
@@ -291,8 +293,7 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
-               rng: RngContract, lags: int = 30,
-               bootstrap: int = 200) -> DependenceProfile:
+               rng: RngContract, lags: int = 30) -> DependenceProfile:
     """Dependence profile estimated from R coupled simulations.
 
     delta_hat[i, j] = (R^{-1} sum_r |X_ij - X'_ij|^q)^{1/q} from
@@ -320,7 +321,7 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
 
     # multinomial bootstrap over replications for SE bands
     bgen = rng.derive("mc-profile-boot").generator()
-    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=bootstrap) / R
+    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=_SE_RESAMPLES) / R
     vals_q = absdiff.reshape(R, -1) ** q
     boot = (weights @ vals_q)
     boot = np.clip(boot, 0.0, None) ** (1.0 / q)
@@ -332,7 +333,7 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
     omega_se = boot_om.std(axis=0, ddof=1)
 
     source: dict = {"kind": "monte-carlo", "R": R, "lags": lags,
-                    "bootstrap": bootstrap}
+                    "bootstrap": _SE_RESAMPLES}
     law = spec.innovation
     extend = spec.family == "linear" and spec.K > lags
     c = spec.lag_weights()

@@ -76,16 +76,16 @@ class GaDistanceResult:
 
 
 def mc_long_run_sigma(spec: ProcessSpec, length: int = 10 ** 6,
-                      M: int | None = None,
                       rng: RngContract | None = None) -> np.ndarray:
-    """Approximate long-run covariance from one long path (batched means).
+    """Approximate long-run covariance from one long path (batched means,
+    default block length).
 
     Fallback oracle for families without a closed form; the result is an
     estimate, not the exact matrix.
     """
     rng = rng if rng is not None else RngContract(0)
     panel = simulate(spec, length, rng.derive("long-path"))
-    return sigma_tilde(panel, plan_blocks(length, M)).sigma
+    return sigma_tilde(panel, plan_blocks(length)).sigma
 
 
 def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
@@ -130,10 +130,9 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
 
 @dataclass
 class ExperimentConfig:
-    """Grid-shaped Monte Carlo experiment description."""
+    """Grid of coverage cells, each run with R replications."""
 
     spec: ProcessSpec
-    kind: str = "coverage"
     R: int = 200
     B: int = 2000
     base_seed: int = 0
@@ -144,7 +143,7 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.kind == "coverage" and self.R < 200:
+        if self.R < 200:
             raise ValidationError(
                 f"coverage runs need R >= 200 replications, got {self.R}")
         if not self.n_list or not self.M_list or not self.theta_list:
@@ -208,7 +207,6 @@ def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 @dataclass
 class RateResult:
-    n_grid: list[int]
     median_err: np.ndarray
     r_n: np.ndarray
     empirical_slope: float
@@ -235,8 +233,8 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
         plan = plan_blocks(n, M_rule(n) if M_rule is not None else None)
         M = plan.M
 
-        def one_rep(r: int, _n=n, _plan=plan, _gi=gi):
-            panel = simulate(spec, _n, rng.derive("rate-panel", _gi * 10 ** 6 + r))
+        def one_rep(r: int, _n=n, _plan=plan, _cell=rng.derive("rate-cell", gi)):
+            panel = simulate(spec, _n, _cell.derive("rate-panel", r))
             est = sigma_tilde(panel, _plan)
             return float(np.max(np.abs(est.sigma - sigma)))
 
@@ -246,7 +244,7 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
         rows.append({"n": n, "M": M, "median_err": med[gi], "r_n": rn[gi], "R": R})
     emp = fit_loglog_slope(n_grid, med)
     theo = fit_loglog_slope(n_grid, rn)
-    return RateResult(n_grid=n_grid, median_err=med, r_n=rn,
+    return RateResult(median_err=med, r_n=rn,
                       empirical_slope=emp, theoretical_slope=theo, rows=rows)
 
 
@@ -292,7 +290,6 @@ def mdep_oracle_norm(spec: ProcessSpec, n: int, m: int, q: float = 2.0) -> np.nd
 
 @dataclass
 class MdepResult:
-    m_grid: list[int]
     mc_norm: np.ndarray          # max_j MC ||S_n - S_{n,m}||_q / sqrt(n)
     oracle_norm: np.ndarray
     mc_se: np.ndarray
@@ -342,7 +339,7 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
     slope = fit_loglog_slope(m_grid, mc) if np.all(mc > 0) else float("nan")
     rows = [{"m": m, "mc_norm": float(mc[i]), "oracle_norm": float(oracle[i]),
              "mc_se": float(se[i])} for i, m in enumerate(m_grid)]
-    return MdepResult(m_grid=m_grid, mc_norm=mc, oracle_norm=oracle, mc_se=se,
+    return MdepResult(mc_norm=mc, oracle_norm=oracle, mc_se=se,
                       slope=slope, target_slope=-alpha, rows=rows)
 
 
@@ -357,14 +354,13 @@ class CounterexampleResult:
 
 
 def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
-                        rng: RngContract, u0: float | None = None,
-                        body: str = "shell",
+                        rng: RngContract, body: str = "shell",
                         threads: int = 1) -> CounterexampleResult:
     """KS trajectory of the max statistic under heavy-tailed iid panels.
 
     For each p, compares sqrt(n)|xbar|_inf samples against |Z|_inf draws
     (Z standard normal in R^p; the innovation law has unit variance by
-    construction), and reports the diagnostics p*P(column sum >= sqrt(n) u)
+    construction), and reports the diagnostics p*P(|column sum| >= sqrt(n) u)
     and p*P(|Z_1| >= u) at u = sqrt(2 log p).
 
     The default body="shell" puts the free below-threshold mass right under
@@ -373,18 +369,17 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
     """
     if tail_index <= 2:
         raise ValidationError(f"tail index must exceed 2, got {tail_index}")
-    kwargs = {"body": body} if u0 is None else {"u0": u0, "body": body}
-    law = InnovationLaw.symmetric_pareto(tail_index, **kwargs)
+    law = InnovationLaw.symmetric_pareto(tail_index, body=body)
     rows = []
     samples = {}
     for pi, p in enumerate(p_grid):
         spec = ProcessSpec("iid", p=p, innovation=law)
         u = math.sqrt(2.0 * math.log(p))
 
-        def one_rep(r: int, _spec=spec, _pi=pi, _u=u):
-            panel = simulate(_spec, n, rng.derive("ctrex-panel", _pi * 10 ** 6 + r))
-            stats = math.sqrt(n) * panel.data.mean(axis=0)
-            return float(np.max(np.abs(stats))), int(np.sum(stats >= _u))
+        def one_rep(r: int, _spec=spec, _cell=rng.derive("ctrex-cell", pi), _u=u):
+            panel = simulate(_spec, n, _cell.derive("ctrex-panel", r))
+            stats = np.abs(math.sqrt(n) * panel.data.mean(axis=0))
+            return float(np.max(stats)), int(np.sum(stats >= _u))
 
         out = run_indexed(one_rep, R, threads)
         sample_stats = np.array([o[0] for o in out])
@@ -395,7 +390,7 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
         rows.append({
             "p": p, "n": n, "R": R, "tail_index": tail_index, "body": body,
             "ks": ks,
-            "p_tail_emp": p * tail_hits / (R * p),
+            "p_tail_emp": tail_hits / R,
             "p_tail_gauss": p * 2.0 * float(norm.sf(u)),
         })
         samples[p] = (sample_stats, gauss_stats)

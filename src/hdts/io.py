@@ -79,7 +79,8 @@ def _parse_rows(path, lines, first_line: int, skip: int,
     """Numeric rows of CSV lines, dropping `skip` leading cells per row.
 
     Blank lines are ignored; a row of the wrong width or a non-numeric
-    cell raises ValidationError naming the file and line.
+    cell raises ValidationError naming the file and line.  The result is
+    2-d, (0, width) when there are no rows.
     """
     rows = []
     for lineno, line in enumerate(lines, start=first_line):
@@ -95,7 +96,7 @@ def _parse_rows(path, lines, first_line: int, skip: int,
         except ValueError:
             raise ValidationError(
                 f"{path}, line {lineno}: non-numeric value in {line.strip()!r}") from None
-    return np.array(rows)
+    return np.array(rows, dtype=float).reshape(len(rows), width or 0)
 
 
 def read_panel_csv(path) -> np.ndarray:
@@ -103,10 +104,7 @@ def read_panel_csv(path) -> np.ndarray:
         header = f.readline().strip().split(",")
         if not header or header[0] != "t":
             raise ValidationError(f"{path}: expected a panel CSV with header t,x1..xp")
-        data = _parse_rows(path, f, 2, 1, len(header) - 1)
-    if data.size == 0:
-        raise ValidationError(f"{path}: empty panel")
-    return data
+        return _parse_rows(path, f, 2, 1, len(header) - 1)
 
 
 def write_matrix_csv(path, arr: np.ndarray) -> None:

@@ -243,7 +243,6 @@ def f_alpha_factor(q: float, alpha: float, w: int, M: int) -> float:
 @dataclass
 class RateInfo:
     r_n: float
-    v_M: float
     F_alpha: float | None
     n: int
     M: int
@@ -267,8 +266,7 @@ def theoretical_rate(profile, n: int, M: int | None = None,
     aux = profile.aux
     if aux.psi_2_0 is None or aux.psi_2_a is None:
         raise ValidationError("profile lacks Psi_{2,0} / Psi_{2,alpha}")
-    vM = v_of_M(alpha, M)
-    bias = aux.psi_2_0 * aux.psi_2_a * vM
+    bias = aux.psi_2_0 * aux.psi_2_a * v_of_M(alpha, M)
 
     if nu is not None:
         if profile.Phi_0 is None:
@@ -276,8 +274,8 @@ def theoretical_rate(profile, n: int, M: int | None = None,
         gamma = 1.0 / (1.0 + 2.0 * nu)
         var_term = math.sqrt(w) * M * profile.Phi_0 ** 2 * \
             math.log(p) ** (1.0 / gamma) / n
-        return RateInfo(r_n=var_term + bias, v_M=vM, F_alpha=None, n=n, M=M,
-                        w=w, variance_term=var_term, bias_term=bias,
+        return RateInfo(r_n=var_term + bias, F_alpha=None, n=n, M=M, w=w,
+                        variance_term=var_term, bias_term=bias,
                         regime="sub-exponential")
 
     if aux.psi_4_a is None:
@@ -288,5 +286,5 @@ def theoretical_rate(profile, n: int, M: int | None = None,
         math.sqrt(w) * M * aux.psi_4_a ** 2 * math.sqrt(math.log(p)),
         math.sqrt(w) * M * profile.Psi ** 2,
     ) / n
-    return RateInfo(r_n=var_term + bias, v_M=vM, F_alpha=F, n=n, M=M, w=w,
+    return RateInfo(r_n=var_term + bias, F_alpha=F, n=n, M=M, w=w,
                     variance_term=var_term, bias_term=bias, regime="polynomial")

@@ -381,19 +381,19 @@ class InnovationRecord:
 
 @dataclass(frozen=True)
 class Panel:
-    """n x p observation matrix, row i = time i, plus generation metadata."""
+    """n x p observation matrix, row i = time i, plus the innovations that
+    produced it when it was simulated."""
 
     data: np.ndarray
-    spec: ProcessSpec | None
-    seed: int
-    stream_id: int = 0
     innovations: InnovationRecord | None = None
-    note: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2:
             raise ValidationError(f"panel data must be 2-d, got shape {data.shape}")
+        if min(data.shape) < 1:
+            raise ValidationError(
+                f"panel needs n >= 1 rows and p >= 1 columns, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise NumericalError("panel contains non-finite values")
         object.__setattr__(self, "data", data)
@@ -407,9 +407,9 @@ class Panel:
         return self.data.shape[1]
 
     @staticmethod
-    def from_data(data, note: str = "external") -> "Panel":
-        """Wrap an existing observation matrix (no generation metadata)."""
-        return Panel(np.asarray(data, dtype=float), spec=None, seed=0, note=note)
+    def from_data(data) -> "Panel":
+        """Wrap an existing observation matrix (no innovation record)."""
+        return Panel(data)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +476,7 @@ def simulate(spec: ProcessSpec, n: int, rng: RngContract) -> Panel:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
     innov = _draw_innovations(spec, n, rng)
     data = _build(spec, n, innov)
-    return Panel(data=data, spec=spec, seed=rng.base_seed,
-                 stream_id=rng.stream_id, innovations=innov)
+    return Panel(data=data, innovations=innov)
 
 
 def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel, Panel]:
@@ -494,10 +493,8 @@ def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel
     values_c = innov.values.copy()
     values_c[-innov.offset] = eps_prime
     innov_c = InnovationRecord(values=values_c, offset=innov.offset)
-    panel = Panel(data=_build(spec, n, innov), spec=spec, seed=rng.base_seed,
-                  stream_id=rng.stream_id, innovations=innov)
-    coupled = Panel(data=_build(spec, n, innov_c), spec=spec, seed=rng.base_seed,
-                    stream_id=rng.stream_id, innovations=innov_c, note="coupled")
+    panel = Panel(data=_build(spec, n, innov), innovations=innov)
+    coupled = Panel(data=_build(spec, n, innov_c), innovations=innov_c)
     return panel, coupled
 
 
@@ -529,8 +526,7 @@ def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Pa
                 f"restart window m={m} exceeds the recorded burn-in history "
                 f"({-innov.offset} steps)")
         data = _tar_restart(innov, spec.theta1, spec.theta2, m, n)
-    return Panel(data=data, spec=spec, seed=0, innovations=innov,
-                 note=f"m-dependent(m={m})")
+    return Panel(data=data, innovations=innov)
 
 
 def _tar_restart(innov: InnovationRecord, theta1: float, theta2: float,

@@ -35,7 +35,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_coverage():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(spec=ProcessSpec("iid", p=20), kind="coverage",
+    cfg = ExperimentConfig(spec=ProcessSpec("iid", p=20),
                            R=2000, B=2000, base_seed=101, n_list=[500],
                            M_list=[1], theta_list=[0.95], threads=THREADS)
     row = coverage_experiment(cfg).rows[0]
@@ -227,7 +227,7 @@ def test_criterion_12_determinism(tmp_path):
 
     cov_rows = []
     for threads in (1, 8):
-        cfg2 = ExperimentConfig(spec=ProcessSpec("iid", p=4), kind="coverage",
+        cfg2 = ExperimentConfig(spec=ProcessSpec("iid", p=4),
                                 R=200, B=1000, base_seed=5, n_list=[100],
                                 M_list=[1], theta_list=[0.9], threads=threads)
         cov_rows.append(coverage_experiment(cfg2).rows)

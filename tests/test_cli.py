@@ -181,6 +181,19 @@ def test_null_csv_with_header_exit_code(tmp_path, capsys):
                   f"{null}, line 1")
 
 
+def test_panel_without_rows_or_columns_exit_code(tmp_path, capsys):
+    io.write_array_binary(tmp_path / "no_cols.bin", np.zeros((10, 0)))
+    io.write_array_binary(tmp_path / "no_rows.bin", np.zeros((0, 3)))
+    (tmp_path / "no_cols.csv").write_text("t\n1\n2\n3\n")
+    (tmp_path / "no_rows.csv").write_text("t,x1,x2\n")
+    for name in ("no_cols.bin", "no_rows.bin", "no_cols.csv", "no_rows.csv"):
+        for command in ("estimate", "ci", "covtest"):
+            rc = main([command, "--panel", str(tmp_path / name),
+                       "--out", str(tmp_path / "o")])
+            body = json.loads(capsys.readouterr().err)
+            assert (rc, body["type"]) == (2, "validation"), (name, command)
+
+
 def test_numerical_exit_code(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text("t,x1\n1,nan\n2,1.0\n")
@@ -370,3 +383,34 @@ def test_experiment_cli_matches_library(tmp_path, kind):
     io.write_rows_csv(tmp_path / "lib.csv", res.rows)
     assert (tmp_path / "out" / "report.csv").read_bytes() == \
         (tmp_path / "lib.csv").read_bytes()
+
+
+def test_every_default_config_key_is_read(tmp_path, monkeypatch):
+    import hdts.cli as cli
+    get, read = cli._get, set()
+
+    def recording_get(cfg, section, key, conv, what):
+        read.add((section, key.lower()))
+        return get(cfg, section, key, conv, what)
+
+    monkeypatch.setattr(cli, "_get", recording_get)
+    tiny = DEFAULT_CONFIG.replace("family = linear", "family = iid") \
+                         .replace("p = 5", "p = 2").replace("n = 1000", "n = 20") \
+                         .replace("B = 2000", "B = 1000").replace("n = 500", "n = 50") \
+                         .replace("p = 20", "p = 2") \
+                         .replace("n_grid = 512,1024,2048,4096", "n_grid = 64,128,256") \
+                         .replace("m_grid = 16,32,64,128,256", "m_grid = 2,4,8") \
+                         .replace("p_grid = 64,512,4096", "p_grid = 2,4")
+    runs = [("simulate", tiny.replace("standard-gaussian", law))
+            for law in ("standard-gaussian", "student-t", "symmetric-pareto")]
+    runs += [("experiment", tiny.replace("kind = coverage", f"kind = {kind}"))
+             for kind in cli._EXPERIMENTS]
+    for i, (command, body) in enumerate(runs):
+        cfg = tmp_path / f"{i}.ini"
+        cfg.write_text(body)
+        out = ["--out", str(tmp_path / f"s{i}")] if command == "simulate" else \
+            ["--out-dir", str(tmp_path / f"x{i}")]
+        assert main(["--threads", "1", command, "--config", str(cfg)] + out) == 0
+    known = {(section, key) for section, keys in cli._known_keys().items()
+             for key in keys}
+    assert read == known

@@ -102,11 +102,11 @@ def test_ga_distance_threads_do_not_change_results():
 
 def test_coverage_requires_enough_replications():
     with pytest.raises(ValidationError, match="R >= 200"):
-        ExperimentConfig(spec=ProcessSpec("iid", p=3), kind="coverage", R=50)
+        ExperimentConfig(spec=ProcessSpec("iid", p=3), R=50)
 
 
 def test_coverage_median_level_cell():
-    cfg = ExperimentConfig(spec=ProcessSpec("iid", p=10), kind="coverage",
+    cfg = ExperimentConfig(spec=ProcessSpec("iid", p=10),
                            R=2000, B=2000, base_seed=102, n_list=[500],
                            M_list=[1], theta_list=[0.5], threads=2)
     rep = coverage_experiment(cfg)
@@ -117,7 +117,7 @@ def test_coverage_median_level_cell():
 def test_coverage_undercovers_with_misspecified_tiny_M():
     # strong dependence with M = 1 ignores almost all the long-run variance
     spec = ProcessSpec("linear", p=10, alpha=0.2, K=400, h=0)
-    cfg = ExperimentConfig(spec=spec, kind="coverage", R=400, B=2000,
+    cfg = ExperimentConfig(spec=spec, R=400, B=2000,
                            base_seed=103, n_list=[500], M_list=[1],
                            theta_list=[0.95], threads=2)
     rep = coverage_experiment(cfg)
@@ -126,7 +126,7 @@ def test_coverage_undercovers_with_misspecified_tiny_M():
 
 
 def test_experiment_report_csv_is_stable():
-    cfg = ExperimentConfig(spec=ProcessSpec("iid", p=4), kind="coverage",
+    cfg = ExperimentConfig(spec=ProcessSpec("iid", p=4),
                            R=200, B=1000, base_seed=9, n_list=[100],
                            M_list=[1], theta_list=[0.9])
     a = coverage_experiment(cfg).to_csv_text()
@@ -203,6 +203,7 @@ def test_mdep_module_example_alpha_one():
 def test_counterexample_compliant_cell():
     res = counterexample_demo(8.0, 4096, [16], 800, RNG.derive("ctrex-ok"))
     assert res.rows[0]["ks"] <= 0.1
+    assert 0.75 <= res.rows[0]["p_tail_emp"] / res.rows[0]["p_tail_gauss"] <= 1.25
 
 
 def test_counterexample_degenerate_cell():
@@ -223,6 +224,26 @@ def test_counterexample_guards_and_diagnostics():
         rel=1e-10)
     assert set(ecdf_dump_rows(*res.samples[32])[0]) == {"u", "ecdf_sample",
                                                         "ecdf_gauss"}
+
+
+@pytest.mark.parametrize("run", [
+    lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 2, rng),
+    lambda rng: counterexample_demo(4.0, 16, [2, 4], 2, rng),
+], ids=["rate", "counterexample"])
+def test_replication_streams_are_distinct_across_cells(monkeypatch, run):
+    import hdts.experiments as ex
+    simulate, seen = ex.simulate, []
+
+    def recording_simulate(spec, n, rng):
+        seen.append(rng.stream_id)
+        return simulate(spec, n, rng)
+
+    monkeypatch.setattr(ex, "simulate", recording_simulate)
+    # replication 10**6 of one cell and replication 0 of the next must differ
+    monkeypatch.setattr(ex, "run_indexed",
+                        lambda fn, count, threads=1: [fn(0), fn(10 ** 6)])
+    run(RNG.derive("streams"))
+    assert len(seen) >= 4 and len(set(seen)) == len(seen)
 
 
 def test_report_csv_text_equals_written_rows(tmp_path):
