@@ -17,9 +17,9 @@ from .longrun import (BlockPlan, LongRunEstimate, autocovariance,
                       true_sigma, v_of_M)
 from .gboot import (BootstrapQuantile, CiReport, PsdSqrt, bootstrap_quantile,
                     psd_sqrt, simultaneous_ci)
-from .covinf import (CovNormBound, CovPanel, CovTestResult, build_cov_panel,
-                     cov_dep_norm_bound, cov_simultaneous_test, flat_to_pair,
-                     mc_cov_norms, n_pairs, pair_indices, pair_to_flat)
+from .covinf import (CovPanel, CovTestResult, build_cov_panel, cov_dep_norm_bound,
+                     cov_simultaneous_test, flat_to_pair, mc_cov_norms, n_pairs,
+                     pair_indices, pair_to_flat)
 from .experiments import (CounterexampleResult, ExperimentConfig,
                           ExperimentReport, GaDistanceResult, MdepResult,
                           RateResult, counterexample_demo, coverage_experiment,

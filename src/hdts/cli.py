@@ -300,7 +300,7 @@ def _run_coverage(cfg, spec, R, rng, args):
 
 
 def _run_ga(cfg, spec, R, rng, args):
-    n = _get(cfg, "experiment", "n", _int_list, "integer list")[0]
+    n = _get(cfg, "experiment", "n", int, "integer")
     n_perm = _get(cfg, "experiment", "n_perm", int, "integer")
     sigma, meta = None, {}
     if spec.family not in ("iid", "linear"):
@@ -327,7 +327,7 @@ def _run_mdep(cfg, spec, R, rng, args):
     res = mdep_rate_check(
         spec, _get(cfg, "experiment", "q", float, "float"), spec.alpha,
         _get(cfg, "experiment", "m_grid", _int_list, "integer list"),
-        R, rng, n=_get(cfg, "experiment", "n", _int_list, "integer list")[0],
+        R, rng, n=_get(cfg, "experiment", "n", int, "integer"),
         threads=args.threads)
     return res.rows, {"slope": res.slope, "target_slope": res.target_slope}, [], []
 
@@ -335,7 +335,7 @@ def _run_mdep(cfg, spec, R, rng, args):
 def _run_counterexample(cfg, spec, R, rng, args):
     res = counterexample_demo(
         _get(cfg, "experiment", "tail_index", float, "float"),
-        _get(cfg, "experiment", "n", _int_list, "integer list")[0],
+        _get(cfg, "experiment", "n", int, "integer"),
         _get(cfg, "experiment", "p_grid", _int_list, "integer list"),
         R, rng, body=_get(cfg, "experiment", "body", str, "string").strip(),
         threads=args.threads)

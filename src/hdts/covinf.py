@@ -98,36 +98,13 @@ def product_block_sums(panel: Panel, plan: BlockPlan) -> tuple[np.ndarray, np.nd
 # Dependence-norm bounds for the product process
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CovNormBound:
-    """Upper bounds on the adjusted norms of the product process at (q/2, alpha)."""
-
-    q_eff: float                 # q/2
-    alpha: float
-    p: int
-    per_pair: np.ndarray         # bound on ||prod_{.a}||_{q/2, alpha} per pair
-    uniform: float               # 4 Psi_{q,0} Psi_{q,alpha}
-    overall: float               # aggregated l_{q/2} bound
-    sup_inf: float               # bound on the L^inf adjusted norm
-    aux: AuxNorms
-
-    def to_profile(self) -> DependenceProfile:
-        """Bound-valued profile for the product process, usable by the
-        condition checker at (q/2, alpha)."""
-        m = n_pairs(self.p)
-        q2 = self.q_eff
-        theta = min(self.overall, self.sup_inf * math.log(m))
-        return DependenceProfile(
-            q=q2, alpha=self.alpha, p=m, Psi=self.uniform, Upsilon=self.overall,
-            sup_norm=self.sup_inf, Theta=theta, coord_norms=self.per_pair,
-            aux=self.aux, source={"kind": "upper-bound"})
-
-
-def cov_dep_norm_bound(profile: DependenceProfile) -> CovNormBound:
-    """Bound the product-process adjusted norms by those of the base process.
+def cov_dep_norm_bound(profile: DependenceProfile) -> DependenceProfile:
+    """Profile of the product process at (q/2, alpha) over the p(p+1)/2
+    pairs, bounded by the base process's adjusted norms.
 
     Requires a base profile at moment order q >= 4 with per-coordinate
     norms at (q, 0) and (q, alpha); products then live at order q/2 >= 2.
+    The result feeds the condition checker like any other profile.
     """
     q, alpha, p = profile.q, profile.alpha, profile.p
     if q < 4:
@@ -137,6 +114,7 @@ def cov_dep_norm_bound(profile: DependenceProfile) -> CovNormBound:
     norms_a = np.asarray(profile.coord_norms, dtype=float)
     norms_0 = adjusted_norms(profile.Delta, 0.0)
 
+    m = n_pairs(p)
     js, ks = pair_indices(p)
     per_pair = 2.0 * norms_0[js] * norms_a[ks] + 2.0 * norms_0[ks] * norms_a[js]
     uniform = 4.0 * float(np.max(norms_0)) * float(np.max(norms_a))
@@ -149,7 +127,7 @@ def cov_dep_norm_bound(profile: DependenceProfile) -> CovNormBound:
         linf_a = adjusted_norm(profile.Omega, alpha)
         sup_inf = 4.0 * linf_0 * linf_a
     else:
-        sup_inf = float(uniform * n_pairs(p))  # crude fallback via the overall sum
+        sup_inf = float(uniform * m)  # crude fallback via the overall sum
 
     # uniform bounds at the auxiliary orders the condition checker needs:
     # the product process at order r inherits 4 Psi_{2r,0} Psi_{2r,.} from
@@ -164,9 +142,10 @@ def cov_dep_norm_bound(profile: DependenceProfile) -> CovNormBound:
         aux.psi_3_0 = 4.0 * base.psi_6_0 ** 2
     if base.psi_8_0 is not None:
         aux.psi_4_0 = 4.0 * base.psi_8_0 ** 2
-    return CovNormBound(q_eff=q2, alpha=alpha, p=p, per_pair=per_pair,
-                        uniform=uniform, overall=overall, sup_inf=sup_inf,
-                        aux=aux)
+    return DependenceProfile(
+        q=q2, alpha=alpha, p=m, Psi=uniform, Upsilon=overall, sup_norm=sup_inf,
+        Theta=min(overall, sup_inf * math.log(m)), coord_norms=per_pair,
+        aux=aux, source={"kind": "upper-bound"})
 
 
 def mc_cov_norms(spec: ProcessSpec, q: float, alpha: float, R: int,

@@ -9,7 +9,7 @@ runs over 0, 1, 2, ...; Delta[m, j] = sum_{i >= m} delta[i, j].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import integrate
@@ -73,6 +73,12 @@ class AuxNorms:
         return asdict(self)
 
 
+# DependenceProfile fields written under another JSON name
+_JSON_NAMES = {"Psi": "Psi_q_alpha", "Upsilon": "Upsilon_q_alpha",
+               "sup_norm": "Linf_norm_q_alpha", "Theta": "Theta_q_alpha",
+               "Phi": "Phi_psinu_alpha", "Phi_0": "Phi_psinu_0"}
+
+
 @dataclass
 class DependenceProfile:
     """Per-coordinate dependence measures and their high-dimensional aggregates."""
@@ -98,47 +104,55 @@ class DependenceProfile:
     source: dict = field(default_factory=lambda: {"kind": "synthetic"})
 
     def to_json_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-        return {
-            "q": self.q,
-            "alpha": self.alpha,
-            "p": self.p,
-            "Psi_q_alpha": self.Psi,
-            "Upsilon_q_alpha": self.Upsilon,
-            "Linf_norm_q_alpha": self.sup_norm,
-            "Theta_q_alpha": self.Theta,
-            "Phi_psinu_alpha": self.Phi,
-            "Phi_psinu_0": self.Phi_0,
-            "nu": self.nu,
-            "delta": arr(self.delta),
-            "Delta": arr(self.Delta),
-            "coord_norms": arr(self.coord_norms),
-            "omega": arr(self.omega),
-            "Omega": arr(self.Omega),
-            "delta_se": arr(self.delta_se),
-            "omega_se": arr(self.omega_se),
-            "aux": self.aux.to_dict(),
-            "source": self.source,
-        }
+        """Every field, under its _JSON_NAMES name where it has one; arrays
+        as lists and aux as a dict."""
+        def plain(value):
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            return value.to_dict() if isinstance(value, AuxNorms) else value
+        return {_JSON_NAMES.get(f.name, f.name): plain(getattr(self, f.name))
+                for f in fields(self)}
 
     @staticmethod
-    def from_json_dict(d: dict) -> "DependenceProfile":
-        def arr(x):
-            return None if x is None else np.asarray(x, dtype=float)
-        return DependenceProfile(
-            q=d["q"], alpha=d["alpha"], p=d["p"],
-            Psi=d["Psi_q_alpha"], Upsilon=d["Upsilon_q_alpha"],
-            sup_norm=d["Linf_norm_q_alpha"], Theta=d["Theta_q_alpha"],
-            Phi=d.get("Phi_psinu_alpha"), Phi_0=d.get("Phi_psinu_0"),
-            nu=d.get("nu"),
-            delta=arr(d.get("delta")), Delta=arr(d.get("Delta")),
-            coord_norms=arr(d.get("coord_norms")),
-            omega=arr(d.get("omega")), Omega=arr(d.get("Omega")),
-            delta_se=arr(d.get("delta_se")), omega_se=arr(d.get("omega_se")),
-            aux=AuxNorms(**(d.get("aux") or {})),
-            source=d.get("source", {"kind": "synthetic"}),
-        )
+    def from_json_dict(d) -> "DependenceProfile":
+        """Inverse of to_json_dict; a key that is unknown, missing while
+        required, or of the wrong type raises ValidationError naming it."""
+        return _record_from_json(DependenceProfile, d, "profile")
+
+
+def _record_from_json(cls, d, where: str):
+    """Instance of the dataclass cls (DependenceProfile or AuxNorms) from
+    a JSON object, checking each value against its field's annotation."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(d).__name__}")
+    by_key = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(d) - set(by_key))
+    if unknown:
+        raise ValidationError(f"{where} has unknown key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in d:
+            kwargs[f.name] = _value_from_json(f.type, d[key], f"{where} key {key!r}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{where} lacks the required key {key!r}")
+    return cls(**kwargs)
+
+
+def _value_from_json(annotation: str, value, where: str):
+    kind, _, optional = annotation.partition(" | ")
+    if kind == "AuxNorms":
+        return AuxNorms() if value is None else _record_from_json(AuxNorms, value, where)
+    if value is None and optional:
+        return None
+    if kind == "np.ndarray":
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where} is not a numeric array") from None
+    if kind in ("float", "int") and (
+            isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValidationError(f"{where} is not a number: {value!r}")
+    return value
 
 
 def adjusted_norm(Delta, alpha: float) -> float:
@@ -179,6 +193,11 @@ def _aggregate(Delta: np.ndarray, Omega: np.ndarray, q: float, alpha: float):
     return coord_norms, float(np.max(coord_norms)), Upsilon, sup_norm, Theta
 
 
+def _check_order(q: float) -> None:
+    if not 2.0 <= q < math.inf:
+        raise ValidationError(f"need a finite moment order q >= 2, got {q}")
+
+
 def _set_aux(aux: AuxNorms, order: float, psi0: float, psia: float) -> None:
     """Store Psi_{order,0}, and Psi_{order,alpha} where AuxNorms has it."""
     name_0, name_a = _AUX_NAMES[order]
@@ -192,14 +211,12 @@ def _set_aux(aux: AuxNorms, order: float, psi0: float, psia: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _sup_q_scaling(nu: float) -> float:
-    """sup_{q >= 2} (E|N|^q)^{1/q} / q^nu, finite for nu >= 1/2."""
+    """sup_{q >= 2} (E|N|^q)^{1/q} / q^nu = 2^{-nu} for nu >= 1/2: c_q / sqrt(q)
+    is non-increasing on [2, inf), so the supremum sits at q = 2, where c_2 = 1."""
     if nu < 0.5:
         raise ValidationError(
             f"Gaussian coordinates need nu >= 1/2 for a finite sub-exponential norm, got {nu}")
-    qs = np.exp(np.linspace(math.log(2.0), math.log(400.0), 400))
-    vals = [gaussian_abs_moment_root(float(qq)) / qq ** nu for qq in qs]
-    limit = math.exp(-0.5) if nu == 0.5 else 0.0  # c_q ~ sqrt(q/e) as q -> inf
-    return max(max(vals), limit)
+    return 2.0 ** -nu
 
 
 def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
@@ -213,6 +230,9 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
     quadrature when the cross-section is independent and Monte Carlo
     (10^5 draws from RngContract(0), standard error recorded) otherwise.
     """
+    _check_order(q)
+    if not math.isfinite(alpha):
+        raise ValidationError(f"need a finite alpha, got {alpha}")
     if spec.family not in ("iid", "linear"):
         raise ValidationError(
             f"no closed-form profile for family {spec.family!r}; use mc_profile")
@@ -304,6 +324,7 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
     """
     if R < 100:
         raise ValidationError(f"mc_profile needs R >= 100 replications, got {R}")
+    _check_order(q)
     if not spec.innovation.admits_moment(q):
         raise ValidationError(
             f"innovation law {spec.innovation.kind} has no finite moment of order {q}")
@@ -422,12 +443,8 @@ class GAConditionReport:
     alpha_one_flag: bool = False
 
     def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("n", "p", "q", "alpha", "nu", "regime", "L1", "L2", "L3",
-              "W1", "W2", "W3", "W4", "N1", "N2", "N3", "N4", "F_alpha",
-              "ultra_c", "alpha_one_flag")}
-        d["conditions"] = [c.to_json_dict() for c in self.conditions]
-        return d
+        return {**asdict(self),
+                "conditions": [c.to_json_dict() for c in self.conditions]}
 
 
 def ultra_high_dim_exponent(alpha: float, beta: float) -> float:
@@ -465,6 +482,9 @@ def ga_condition_check(profile: DependenceProfile, n: int,
     """
     q, alpha = profile.q, profile.alpha
     p = float(p if p is not None else profile.p)
+    _check_order(q)
+    if not (math.isfinite(alpha) and math.isfinite(p)):
+        raise ValidationError(f"need a finite alpha and p, got {alpha} and {p}")
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     if p <= 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -153,7 +153,10 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +185,7 @@ class RunManifest:
 
     def write(self, path) -> None:
         self.created_utc = datetime.now(timezone.utc).isoformat()
-        write_json(path, {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "base_seed": self.base_seed,
-            "threads": self.threads,
-            "config_digest": self.config_digest,
-            "outputs": self.outputs,
-            "created_utc": self.created_utc,
-        })
+        write_json(path, asdict(self))
 
 
 def config_digest_of(path) -> str:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy.special import exp1, lambertw
 
 from .errors import NumericalError, ValidationError
 from .rng import RngContract
@@ -46,31 +46,22 @@ def _pareto_survival(u, tail_index):
 def _pareto_tail_second_moment(tail_index: float, u0: float) -> float:
     """E[eps^2; |eps| >= u0] for the two-sided power-law tail."""
     s0 = float(_pareto_survival(u0, tail_index))
-    t0 = math.log(u0)
-    # integral of u * S(u) du over [u0, inf) in t = log(u) coordinates
-    val, _ = integrate.quad(lambda t: math.exp((2.0 - tail_index) * t) / t ** 2,
-                            t0, np.inf)
+    a, t0 = tail_index - 2.0, math.log(u0)
+    # integral of u * S(u) du over [u0, inf): in t = log(u) it is the integral
+    # of e^{-a t} t^{-2} over [t0, inf), which parts turn into E_1
+    val = math.exp(-a * t0) / t0 - a * float(exp1(a * t0))
     return 2.0 * (u0 ** 2 * s0 + 2.0 * val)
 
 
 def _pareto_invert_survival(targets: np.ndarray, tail_index: float, u0: float) -> np.ndarray:
-    """Solve S(u) = s for u >= u0, vectorized monotone bisection to ~1e-12."""
-    s = np.asarray(targets, dtype=float)
-    lo = np.full(s.shape, u0)
-    hi = np.full(s.shape, 2.0 * u0)
-    for _ in range(200):
-        mask = _pareto_survival(hi, tail_index) > s
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        high_side = _pareto_survival(mid, tail_index) > s
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-        if np.max((hi - lo) / lo) < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    """Solve S(u) = s for u >= u0, that is for s <= S(u0).
+
+    With t = log(u), S(u) = s reads (q t/2) e^{q t/2} = q / (2 sqrt(s)), so
+    t = (2/q) W_0(q / (2 sqrt(s))).  s is clamped to the smallest normal
+    float, so that s = 0 still gives a finite u.
+    """
+    s = np.maximum(np.asarray(targets, dtype=float), np.finfo(float).tiny)
+    return np.exp((2.0 / tail_index) * lambertw(tail_index / (2.0 * np.sqrt(s))).real)
 
 
 _SHELL_LO = 0.8  # lower edge of the shell body, as a fraction of u0

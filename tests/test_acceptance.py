@@ -175,8 +175,8 @@ def test_criterion_11_cov_bound_dominance():
     prof = closed_form_profile(spec, 4.0, 1.0)
     bound = cov_dep_norm_bound(prof)
     norms, se = mc_cov_norms(spec, 4.0, 1.0, 2000, RngContract(511), lags=20)
-    slack = float(np.min(bound.uniform + 3.0 * se - norms))
-    ok = bool(np.all(norms <= bound.uniform + 3.0 * se))
+    slack = float(np.min(bound.Psi + 3.0 * se - norms))
+    ok = bool(np.all(norms <= bound.Psi + 3.0 * se))
     report(11, ok, f"MC product-process norms <= 4 Psi_(q,0) Psi_(q,alpha) + "
                    f"3 SE for all {norms.size} pairs (min slack {slack:.2f}; "
                    f"p=5 linear, q=4)")

@@ -414,3 +414,51 @@ def test_every_default_config_key_is_read(tmp_path, monkeypatch):
     known = {(section, key) for section, keys in cli._known_keys().items()
              for key in keys}
     assert read == known
+
+
+@pytest.mark.parametrize("text_of, where", [
+    (lambda good: "{not json", "prof.json"),
+    (lambda good: "[1, 2, 3]", "JSON object"),
+    (lambda good: '{"q": 8.0}', "alpha"),
+    (lambda good: json.dumps({**good, "frobnicate": 1.0}), "frobnicate"),
+    (lambda good: json.dumps({**good, "aux": {**good["aux"], "psi_9_0": 1.0}}), "psi_9_0"),
+    (lambda good: json.dumps({**good, "Psi_q_alpha": "large"}), "Psi_q_alpha"),
+], ids=["not-json", "not-object", "missing-key", "unknown-key", "unknown-aux-key",
+        "non-numeric"])
+def test_check_conditions_rejects_malformed_profile(tmp_path, capsys, text_of, where):
+    from hdts.depmeasure import closed_form_profile
+    good = closed_form_profile(ProcessSpec("linear", p=4, alpha=1.5, K=30),
+                               8.0, 1.5).to_json_dict()
+    path = tmp_path / "prof.json"
+    path.write_text(text_of(good))
+    rc = main(["check-conditions", "--profile", str(path), "--n", "2048"])
+    assert rc == 2
+    body = json.loads(capsys.readouterr().err)
+    assert body["type"] == "validation" and where in body["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "0"], ["--q", "nan"], ["--q", "-2"], ["--alpha", "inf"], ["--p", "inf"],
+], ids=["q=0", "q=nan", "q=-2", "alpha=inf", "p=inf"])
+def test_check_conditions_rejects_out_of_range_numbers(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "cfg.ini")
+    rc = main(["check-conditions", "--config", cfg, "--n", "4096"] + argv)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+@pytest.mark.parametrize("kind, runner", [
+    ("ga", "ga_distance"), ("mdep", "mdep_rate_check"),
+    ("counterexample", "counterexample_demo"),
+])
+def test_single_n_kinds_reject_an_n_list(tmp_path, monkeypatch, capsys, kind, runner):
+    def fail(*args, **kwargs):
+        raise AssertionError("replications ran with a list-valued n")
+    monkeypatch.setattr(f"hdts.cli.{runner}", fail)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(DEFAULT_CONFIG.replace("kind = coverage", f"kind = {kind}")
+                                 .replace("n = 500", "n = 100,200"))
+    rc = main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    body = json.loads(capsys.readouterr().err)
+    assert "[experiment] n" in body["error"] and "not a valid integer" in body["error"]

@@ -76,9 +76,9 @@ def test_bound_iid_uniform_value():
     prof = closed_form_profile(ProcessSpec("iid", p=3), 4.0, 0.0)
     u = float(prof.coord_norms[0])
     bound = cov_dep_norm_bound(prof)
-    assert bound.uniform == pytest.approx(4.0 * u ** 2)
-    assert bound.per_pair == pytest.approx(np.full(6, 4.0 * u ** 2))
-    assert bound.q_eff == 2.0
+    assert bound.Psi == pytest.approx(4.0 * u ** 2)
+    assert bound.coord_norms == pytest.approx(np.full(6, 4.0 * u ** 2))
+    assert bound.q == 2.0
 
 
 def test_bound_p2_overall_by_hand():
@@ -89,9 +89,9 @@ def test_bound_p2_overall_by_hand():
     n0 = np.array([adjusted_norm(prof.Delta[:, j], 0.0) for j in range(2)])
     na = prof.coord_norms
     want = 4.0 * (n0[0] ** 2 + n0[1] ** 2) ** 0.5 * (na[0] ** 2 + na[1] ** 2) ** 0.5
-    assert bound.overall == pytest.approx(want)
+    assert bound.Upsilon == pytest.approx(want)
     per = 2.0 * n0[0] * na[1] + 2.0 * n0[1] * na[0]
-    assert bound.per_pair[1] == pytest.approx(per)
+    assert bound.coord_norms[1] == pytest.approx(per)
 
 
 def test_bound_profile_feeds_condition_checker():
@@ -99,7 +99,7 @@ def test_bound_profile_feeds_condition_checker():
     spec = ProcessSpec("linear", p=3, alpha=1.5, K=10, h=0)
     prof = closed_form_profile(spec, 8.0, 1.5)
     bound = cov_dep_norm_bound(prof)
-    cov_prof = bound.to_profile()
+    cov_prof = bound
     assert cov_prof.q == 4.0 and cov_prof.p == 6
     assert cov_prof.Psi <= cov_prof.Upsilon + 1e-12
     # the bound profile carries enough auxiliary norms for the checker
@@ -108,13 +108,26 @@ def test_bound_profile_feeds_condition_checker():
     assert rep.q == 4.0 and rep.regime == "weaker"
 
 
+def test_bound_is_the_product_process_profile():
+    import json
+    from hdts.depmeasure import DependenceProfile
+    spec = ProcessSpec("linear", p=3, alpha=1.5, K=10, h=1, rho=0.3)
+    bound = cov_dep_norm_bound(closed_form_profile(spec, 8.0, 1.5))
+    assert isinstance(bound, DependenceProfile)
+    assert bound.source == {"kind": "upper-bound"}
+    assert bound.coord_norms.shape == (6,) and np.max(bound.coord_norms) <= bound.Psi
+    assert bound.Theta == min(bound.Upsilon, bound.sup_norm * math.log(6))
+    back = DependenceProfile.from_json_dict(json.loads(json.dumps(bound.to_json_dict())))
+    assert back.Psi == bound.Psi and np.array_equal(back.coord_norms, bound.coord_norms)
+
+
 def test_mc_norms_never_exceed_bound():
     spec = ProcessSpec("linear", p=4, alpha=1.0, K=30, h=1, rho=0.4)
     prof = closed_form_profile(spec, 4.0, 1.0)
     bound = cov_dep_norm_bound(prof)
     norms, se = mc_cov_norms(spec, 4.0, 1.0, 600, RNG.derive("dom"), lags=12)
-    assert np.all(norms <= bound.per_pair + 3.0 * se)
-    assert np.all(norms <= bound.uniform + 3.0 * se)
+    assert np.all(norms <= bound.coord_norms + 3.0 * se)
+    assert np.all(norms <= bound.Psi + 3.0 * se)
 
 
 def test_mc_per_lag_product_deltas_never_exceed_bound():

@@ -213,6 +213,17 @@ def test_symmetric_pareto_unit_variance_by_quadrature(body):
     assert 2.0 * tail2 + body2 == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("tail_index", [2.05, 2.5, 4.0, 8.0])
+def test_pareto_inverse_survival_exact_down_to_tiny_tail_mass(tail_index):
+    from hdts.model import _pareto_invert_survival, _pareto_survival
+    u0 = math.e ** 2
+    s = np.logspace(-300, math.log10(float(_pareto_survival(u0, tail_index))), 301)
+    u = _pareto_invert_survival(s, tail_index, u0)
+    assert np.all(np.abs(_pareto_survival(u, tail_index) / s - 1.0) < 1e-12)
+    at_zero = _pareto_invert_survival(np.array([0.0]), tail_index, u0)
+    assert np.all(np.isfinite(at_zero)) and np.all(at_zero >= u0)
+
+
 def test_symmetric_pareto_guards():
     with pytest.raises(ValidationError, match="tail index"):
         InnovationLaw.symmetric_pareto(2.0)
