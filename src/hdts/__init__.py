@@ -15,8 +15,8 @@ from .longrun import (BlockPlan, LongRunEstimate, autocovariance,
                       default_block_length, f_alpha_factor, plan_blocks,
                       sigma_M_target, sigma_hat, sigma_tilde, theoretical_rate,
                       true_sigma, v_of_M)
-from .gboot import (BootstrapQuantile, CiReport, PsdSqrt, bootstrap_quantile,
-                    psd_sqrt, simultaneous_ci)
+from .gboot import (BootstrapQuantile, CiReport, bootstrap_quantile, psd_sqrt,
+                    simultaneous_ci)
 from .covinf import (CovPanel, CovTestResult, build_cov_panel, cov_dep_norm_bound,
                      cov_simultaneous_test, flat_to_pair, mc_cov_norms, n_pairs,
                      pair_indices, pair_to_flat)

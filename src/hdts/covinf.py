@@ -231,6 +231,8 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
         null_flat[js == ks] = gamma_hat[js == ks]
     else:
         null_gamma = np.asarray(null_gamma, dtype=float)
+        if not np.all(np.isfinite(null_gamma)):
+            raise ValidationError("null gamma has non-finite entries")
         if null_gamma.shape == (p, p):
             null_flat = null_gamma[js, ks]
         elif null_gamma.shape == (n_pairs(p),):

@@ -97,8 +97,11 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     One sample holds R replications of sqrt(n)|D0^{-1} xbar|_inf; the other
     holds R draws of |D0^{-1} Z|_inf with Z ~ N(0, Sigma).  Sigma comes
     from the closed form for iid/linear specs; other families must pass an
-    (approximate) sigma, e.g. from mc_long_run_sigma.
+    (approximate) sigma, e.g. from mc_long_run_sigma.  n_perm = 0 skips
+    the permutation test.
     """
+    if n_perm < 0:
+        raise ValidationError(f"n_perm must be >= 0, got {n_perm}")
     if sigma is None:
         if spec.family not in ("iid", "linear"):
             raise ValidationError(
@@ -114,7 +117,7 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
         return float(np.max(np.abs(panel.data.mean(axis=0)) / d0) * math.sqrt(n))
 
     sample_stats = np.array(run_indexed(one_rep, R, threads))
-    root = psd_sqrt(sigma).root
+    root = psd_sqrt(sigma)
     eta = rng.derive("ga-gauss").generator().standard_normal((R, sigma.shape[0]))
     gauss_stats = np.max(np.abs(eta @ root.T) / d0, axis=1)
     ks = two_sample_ks(sample_stats, gauss_stats)
@@ -302,8 +305,8 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
         raise ValidationError(f"need an m-grid with >= 3 points, got {len(m_grid)}")
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
-    if min(m_grid) < 0:
-        raise ValidationError(f"m must be >= 0, got {min(m_grid)}")
+    if min(m_grid) < 1:
+        raise ValidationError(f"m must be >= 1 for the slope fit on log m, got {min(m_grid)}")
     if R < 2:
         raise ValidationError(f"mdep_rate_check needs R >= 2 replications, got {R}")
     oracle = np.array([np.max(mdep_oracle_norm(spec, n, m, q)) for m in m_grid]) \

@@ -7,14 +7,11 @@ standard normal eta, where the factor F_n has F_n^T F_n equal to the
 correlation matrix of Sigma_tilde; this makes the statistic exactly
 invariant under coordinate-wise rescaling of the data.
 
-For an estimate built from data, Sigma_tilde = Yc^T Yc / (M w) with Yc the
-w centred block sums, so F_n is Yc divided by its column norms (the
-multiplier bootstrap in factor form): neither Sigma_tilde nor its square
-root is formed, and nothing is clipped.  When w > p the p x p triangular
-factor R of Yc = QR, which has the same Gram matrix, replaces Yc so that
-draws stay p wide.  An estimate given as a matrix is factored through the
-eigendecomposition square root of its correlation matrix, with negative
-eigenvalues clipped and their mass reported.
+Sigma_tilde = Yc^T Yc / (M w) with Yc the w centred block sums, so F_n is
+Yc divided by its column norms (the multiplier bootstrap in factor form):
+neither Sigma_tilde nor its square root is formed, and nothing is clipped.
+When w > p the p x p triangular factor R of Yc = QR, which has the same
+Gram matrix, replaces Yc so that draws stay p wide.
 """
 
 from __future__ import annotations
@@ -32,15 +29,7 @@ from .rng import RngContract
 _DRAW_CHUNK = 1024  # fixed chunk size so draws do not depend on scheduling
 
 
-@dataclass(frozen=True)
-class PsdSqrt:
-    """Symmetric PSD square root with the clipped negative mass reported."""
-
-    root: np.ndarray
-    clipped_mass: float
-
-
-def psd_sqrt(sigma: np.ndarray) -> PsdSqrt:
+def psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     """Symmetric eigendecomposition square root, clipping negative eigenvalues.
 
     Requires a symmetric matrix (within 1e-10 relative tolerance) with
@@ -59,10 +48,7 @@ def psd_sqrt(sigma: np.ndarray) -> PsdSqrt:
         lam, V = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    clipped = float(-np.sum(lam[lam < 0.0])) + 0.0
-    lam_pos = np.maximum(lam, 0.0)
-    root = (V * np.sqrt(lam_pos)) @ V.T
-    return PsdSqrt(root=root, clipped_mass=clipped)
+    return (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
 
 
 @dataclass
@@ -73,7 +59,6 @@ class BootstrapQuantile:
     chi: float
     B: int
     chi_se: float
-    clipped_mass: float
     draws: np.ndarray            # unsorted, in stream order
 
     @property
@@ -87,8 +72,8 @@ class BootstrapQuantile:
 
     def to_json_dict(self) -> dict:
         return {"theta": self.theta, "chi": self.chi, "B": self.B,
-                "chi_se": self.chi_se, "clipped_mass": self.clipped_mass,
-                "ecdf_u": self.ecdf_u.tolist(), "ecdf_p": self.ecdf_p.tolist()}
+                "chi_se": self.chi_se, "ecdf_u": self.ecdf_u.tolist(),
+                "ecdf_p": self.ecdf_p.tolist()}
 
 
 def _order_statistic(sorted_draws: np.ndarray, theta: float) -> float:
@@ -105,25 +90,13 @@ def _quantile_se(sorted_draws: np.ndarray, theta: float) -> float:
     return 0.5 * float(sorted_draws[k_hi - 1] - sorted_draws[k_lo - 1])
 
 
-def _unit_factor(est: LongRunEstimate) -> tuple[np.ndarray, float]:
-    """Factor F_n with F_n^T F_n the correlation matrix of est, and the clipped mass.
+def _unit_factor(est: LongRunEstimate) -> np.ndarray:
+    """Factor F_n with F_n^T F_n the correlation matrix of est.
 
-    Fails when a coordinate is degenerate: for a matrix estimate, a
-    diagonal entry below 1e-10; for block sums, a column whose norm is
-    within the rounding noise floor of its data.
+    Fails when a coordinate is degenerate: a column of the block sums whose
+    norm is within the rounding noise floor of its data.
     """
     Y = est.block_sums
-    if Y is None:
-        d2 = np.diag(est.sigma)
-        if np.min(d2) < 1e-10:
-            raise AssumptionError(
-                "degenerate diagonal in the long-run estimate: the requirement "
-                f"min_j sigma_jj >= c fails (min = {np.min(d2):.3e})")
-        d = np.sqrt(d2)
-        corr = est.sigma / np.outer(d, d)
-        np.fill_diagonal(corr, 1.0)
-        sq = psd_sqrt(corr)
-        return sq.root.T, sq.clipped_mass
     norms = np.linalg.norm(Y, axis=0)
     if not np.all(np.isfinite(norms)):
         raise NumericalError("block sums of the long-run estimate are not finite")
@@ -140,7 +113,7 @@ def _unit_factor(est: LongRunEstimate) -> tuple[np.ndarray, float]:
         Y = np.linalg.qr(Y, mode="r")
         Y *= np.where(np.diag(Y) < 0.0, -1.0, 1.0)[:, None]
         norms = np.linalg.norm(Y, axis=0)
-    return Y / norms, 0.0
+    return Y / norms
 
 
 def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
@@ -155,7 +128,7 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
         raise ValidationError(f"coverage level theta must lie in (0,1), got {theta}")
     if B < 1000:
         raise ValidationError(f"need B >= 1000 bootstrap draws, got {B}")
-    F, clipped_mass = _unit_factor(est)
+    F = _unit_factor(est)
 
     draws = np.empty(B)
     for start in range(0, B, _DRAW_CHUNK):
@@ -167,8 +140,7 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
     sorted_draws = np.sort(draws)
     chi = _order_statistic(sorted_draws, theta)
     se = _quantile_se(sorted_draws, theta)
-    return BootstrapQuantile(theta=theta, chi=chi, B=B, chi_se=se,
-                             clipped_mass=clipped_mass, draws=draws)
+    return BootstrapQuantile(theta=theta, chi=chi, B=B, chi_se=se, draws=draws)
 
 
 @dataclass
@@ -186,7 +158,6 @@ class CiReport:
     M: int
     w: int
     n: int
-    clipped_mass: float
 
     def covers(self, mu) -> bool:
         """Whether the vector mu lies inside every interval."""
@@ -198,8 +169,7 @@ class CiReport:
 
     def sidecar_dict(self) -> dict:
         return {"theta": self.theta, "chi": self.chi, "chi_se": self.chi_se,
-                "B": self.B, "M": self.M, "w": self.w, "n": self.n,
-                "clipped_mass": self.clipped_mass}
+                "B": self.B, "M": self.M, "w": self.w, "n": self.n}
 
 
 def simultaneous_ci(panel: Panel, theta: float, M: int | None, B: int,
@@ -218,4 +188,4 @@ def simultaneous_ci(panel: Panel, theta: float, M: int | None, B: int,
     return CiReport(mu_hat=mu_hat, lo=mu_hat - half, hi=mu_hat + half,
                     sigma_diag=est.diag, theta=theta,
                     chi=bq.chi, chi_se=bq.chi_se, B=B, M=plan.M, w=plan.w,
-                    n=panel.n, clipped_mass=bq.clipped_mass)
+                    n=panel.n)

@@ -58,29 +58,22 @@ def default_block_length(n: int) -> int:
 
 
 class LongRunEstimate:
-    """Symmetric PSD estimate of the long-run covariance matrix.
+    """Symmetric PSD estimate of the long-run covariance matrix, kept as the
+    (w, p) block sums Y it is built from.
 
     kind "hat" assumes the process mean is zero; "tilde" subtracts the
-    sample mean of the used observations block-wise.
-
-    The batched-mean estimators keep the (w, p) block sums Y they are built
-    from, with abs_max bounding each column of the data summed, and
-    sigma = Y^T Y / (M w) is formed only when read.  An estimate given as
-    a matrix (an oracle Sigma) has no block sums.
+    sample mean of the used observations block-wise.  abs_max bounds each
+    column of the data summed, and sigma = Y^T Y / (M w) is formed only
+    when read.
     """
 
-    def __init__(self, sigma: np.ndarray | None = None, *, kind: str,
-                 plan: BlockPlan, block_sums: np.ndarray | None = None,
-                 abs_max: np.ndarray | None = None):
-        if (sigma is None) == (block_sums is None) or \
-                (block_sums is None) != (abs_max is None):
-            raise ValidationError(
-                "a long-run estimate takes either sigma, or block_sums with abs_max")
+    def __init__(self, *, kind: str, plan: BlockPlan, block_sums: np.ndarray,
+                 abs_max: np.ndarray):
         self.kind = kind
         self.plan = plan
         self.block_sums = block_sums
         self.abs_max = abs_max
-        self._sigma = sigma
+        self._sigma = None
 
     @property
     def noise_floor(self) -> np.ndarray:
@@ -105,15 +98,12 @@ class LongRunEstimate:
 
     @property
     def p(self) -> int:
-        src = self.block_sums if self.block_sums is not None else self._sigma
-        return src.shape[1]
+        return self.block_sums.shape[1]
 
     @property
     def diag(self) -> np.ndarray:
         """The diagonal sigma_jj, from the block sums without forming sigma."""
         Y = self.block_sums
-        if Y is None:
-            return np.diag(self._sigma).copy()
         return np.einsum("ij,ij->j", Y, Y) / (self.plan.M * self.plan.w)
 
     @property

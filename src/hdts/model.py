@@ -493,11 +493,13 @@ def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
     S_n - S_{n,m} for first_lag = m + 1."""
     c = spec.lag_weights()
     K = c.shape[0] - 1
-    cs = np.concatenate([[0.0], np.cumsum(c)])   # cs[k] = sum_{j<k} c_j
+    # ts[k] = sum_{j>=k} c_j: a segment deep in the decaying tail is then a
+    # difference of two small sums, not of two sums near sum(c)
+    ts = np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]])
     t = np.arange(-K, n)
     lo = np.clip(np.maximum(first_lag, -t), 0, K + 1)
     hi = np.clip(np.minimum(K, n - 1 - t) + 1, 0, K + 1)
-    return np.where(hi > lo, cs[hi] - cs[lo], 0.0)
+    return np.where(hi > lo, ts[lo] - ts[hi], 0.0)
 
 
 def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Panel:

@@ -131,7 +131,10 @@ def test_criterion_07_mdep_decay(alpha, K, grid):
 
 def test_criterion_08_bootstrap_oracle():
     plan = plan_blocks(1000, 10)
-    est = LongRunEstimate(sigma=np.eye(10), kind="tilde", plan=plan)
+    Y = np.zeros((plan.w, 10))
+    Y[:10] = np.sqrt(plan.M * plan.w) * np.eye(10)
+    est = LongRunEstimate(kind="tilde", plan=plan, block_sums=Y,
+                          abs_max=np.max(np.abs(Y), axis=0))
     bq = bootstrap_quantile(est, 0.95, 100_000, RngContract(42))
     target = norm.ppf((1.0 + 0.95 ** 0.1) / 2.0)
     z = abs(bq.chi - target) / bq.chi_se
@@ -147,7 +150,7 @@ def test_criterion_09_psd_sqrt_reconstruction():
         p = int(gen.integers(1, 201))
         R = gen.standard_normal((p, p))
         A = R @ R.T
-        S = psd_sqrt(A).root
+        S = psd_sqrt(A)
         err = np.max(np.abs(S @ S.T - A)) / (1.0 + np.max(np.abs(A)))
         worst = max(worst, float(err))
     ok = worst <= 1e-8

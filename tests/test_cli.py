@@ -181,6 +181,18 @@ def test_null_csv_with_header_exit_code(tmp_path, capsys):
                   f"{null}, line 1")
 
 
+def test_null_csv_with_non_finite_entries_exit_code(tmp_path, capsys):
+    panel = tmp_path / "panel.bin"
+    io.write_array_binary(
+        panel, RngContract(4).derive("null").generator().standard_normal((300, 2)))
+    null = tmp_path / "null.csv"
+    null.write_text("1,nan\nnan,1\n")
+    _bad_csv_exit(tmp_path, capsys,
+                  ["covtest", "--panel", str(panel), "--null", str(null)],
+                  "non-finite")
+    assert not (tmp_path / "o.covtest.json").exists()
+
+
 def test_panel_without_rows_or_columns_exit_code(tmp_path, capsys):
     io.write_array_binary(tmp_path / "no_cols.bin", np.zeros((10, 0)))
     io.write_array_binary(tmp_path / "no_rows.bin", np.zeros((0, 3)))
@@ -468,7 +480,10 @@ def test_single_n_kinds_reject_an_n_list(tmp_path, monkeypatch, capsys, kind, ru
     ("rate", "R = 200", "R = 0"), ("rate", "R = 200", "R = -5"),
     ("mdep", "R = 200", "R = 0"), ("mdep", "R = 200", "R = 1"),
     ("mdep", "n = 500", "n = 0"), ("mdep", "m_grid = 16", "m_grid = -1"),
-], ids=["rate-R=0", "rate-R=-5", "mdep-R=0", "mdep-R=1", "mdep-n=0", "mdep-m=-1"])
+    ("mdep", "m_grid = 16,32,64,128,256", "m_grid = 0,16,32"),
+    ("ga", "n_perm = 0", "n_perm = -5"),
+], ids=["rate-R=0", "rate-R=-5", "mdep-R=0", "mdep-R=1", "mdep-n=0", "mdep-m=-1",
+        "mdep-m=0", "ga-n_perm=-5"])
 def test_experiment_rejects_unusable_sizes_before_replicating(tmp_path, monkeypatch, capsys,
                                                                kind, old, new):
     def fail(*args, **kwargs):

@@ -81,6 +81,16 @@ def test_ga_distance_guards():
         ga_distance(tar, 100, 200, RNG)
 
 
+def test_ga_distance_rejects_negative_n_perm(monkeypatch):
+    import hdts.experiments as ex
+
+    def fail(*args, **kwargs):
+        raise AssertionError("replications ran with n_perm < 0")
+    monkeypatch.setattr(ex, "run_indexed", fail)
+    with pytest.raises(ValidationError, match="n_perm must be >= 0, got -5"):
+        ga_distance(ProcessSpec("iid", p=3), 50, 20, RNG, n_perm=-5)
+
+
 def test_mc_long_run_sigma_approximates_truth():
     spec = ProcessSpec("linear", p=3, alpha=2.0, K=50, h=1, rho=0.4)
     approx = mc_long_run_sigma(spec, length=200_000, rng=RNG.derive("oracle"))
@@ -186,6 +196,18 @@ def test_mdep_rate_check_small_run():
     assert res.slope == pytest.approx(-1.0, abs=0.2)
     with pytest.raises(ValidationError, match="m-grid"):
         mdep_rate_check(spec, 2.0, 1.0, [4, 8], 100, RNG)
+
+
+def test_mdep_rejects_m_zero_before_the_oracle(monkeypatch):
+    import hdts.experiments as ex
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the oracle or a replication ran with m = 0")
+    monkeypatch.setattr(ex, "mdep_oracle_norm", fail)
+    monkeypatch.setattr(ex, "run_indexed", fail)
+    spec = ProcessSpec("linear", p=1, alpha=1.0, K=200)
+    with pytest.raises(ValidationError, match="m must be >= 1 .* got 0"):
+        mdep_rate_check(spec, 2.0, 1.0, [0, 16, 32], 200, RNG)
 
 
 def test_mdep_module_example_alpha_one():

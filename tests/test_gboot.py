@@ -7,18 +7,27 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from hdts.errors import AssumptionError, NumericalError, ValidationError
-from hdts.gboot import bootstrap_quantile, psd_sqrt, simultaneous_ci
+from hdts.gboot import (_order_statistic, _quantile_se, bootstrap_quantile, psd_sqrt,
+                        simultaneous_ci)
 from hdts.longrun import LongRunEstimate, plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
 
 RNG = RngContract(50)
-PLAN = plan_blocks(100, 10)
+M_BLOCK = 10
+
+
+def estimate_of_sums(Y) -> LongRunEstimate:
+    return LongRunEstimate(kind="tilde", plan=plan_blocks(M_BLOCK * Y.shape[0], M_BLOCK),
+                           block_sums=Y, abs_max=np.max(np.abs(Y), axis=0))
 
 
 def estimate_of(sigma) -> LongRunEstimate:
-    return LongRunEstimate(sigma=np.asarray(sigma, dtype=float), kind="tilde",
-                           plan=PLAN)
+    # p blocks whose Gram matrix is M w sigma; the Cholesky factor (not the
+    # symmetric root) makes a coordinate rescaling rescale columns of Y
+    sigma = np.asarray(sigma, dtype=float)
+    p = sigma.shape[0]
+    return estimate_of_sums(math.sqrt(M_BLOCK * p) * np.linalg.cholesky(sigma).T)
 
 
 # ---------------------------------------------------------------------------
@@ -26,23 +35,19 @@ def estimate_of(sigma) -> LongRunEstimate:
 # ---------------------------------------------------------------------------
 
 def test_psd_sqrt_examples():
-    r = psd_sqrt(np.eye(4))
-    assert np.allclose(r.root, np.eye(4)) and r.clipped_mass == 0.0
-    r = psd_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(r.root, np.diag([2.0, 3.0]))
+    assert np.allclose(psd_sqrt(np.eye(4)), np.eye(4))
+    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
 
 def test_psd_sqrt_reconstruction_and_clipping():
     gen = RNG.derive("psd").generator()
     R = gen.standard_normal((5, 5))
     A = R @ R.T
-    r = psd_sqrt(A)
-    assert np.max(np.abs(r.root @ r.root.T - A)) <= 1e-8 * (1.0 + np.max(np.abs(A)))
-    # indefinite input: negative eigenvalue mass is clipped and reported
-    B = np.diag([2.0, -0.5, 1.0])
-    r = psd_sqrt(B)
-    assert r.clipped_mass == pytest.approx(0.5)
-    assert np.allclose(r.root @ r.root.T, np.diag([2.0, 0.0, 1.0]), atol=1e-12)
+    S = psd_sqrt(A)
+    assert np.max(np.abs(S @ S.T - A)) <= 1e-8 * (1.0 + np.max(np.abs(A)))
+    # indefinite input: negative eigenvalues are clipped
+    S = psd_sqrt(np.diag([2.0, -0.5, 1.0]))
+    assert np.allclose(S @ S.T, np.diag([2.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_psd_sqrt_input_guards():
@@ -64,7 +69,9 @@ def test_quantile_guards():
         bootstrap_quantile(est, 0.95, 500, RNG)
     with pytest.raises(ValidationError, match="theta"):
         bootstrap_quantile(est, 1.2, 2000, RNG)
-    degenerate = estimate_of(np.diag([1.0, 0.0, 1.0]))
+    Y = est.block_sums.copy()
+    Y[:, 1] = 0.0
+    degenerate = estimate_of_sums(Y)
     with pytest.raises(AssumptionError, match="min_j sigma_jj"):
         bootstrap_quantile(degenerate, 0.95, 2000, RNG)
 
@@ -123,7 +130,7 @@ def test_ecdf_summary_shape():
     assert bq.ecdf_u.shape == (512,) and bq.ecdf_p.shape == (512,)
     assert np.all(np.diff(bq.ecdf_u) >= 0.0)
     d = bq.to_json_dict()
-    assert set(d) >= {"theta", "chi", "B", "chi_se", "clipped_mass"}
+    assert set(d) >= {"theta", "chi", "B", "chi_se"}
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +140,19 @@ def test_ecdf_summary_shape():
 @pytest.mark.parametrize("n,p,M", [(300, 40, 10), (600, 6, 5)])
 def test_data_path_matches_matrix_path_in_law(n, p, M):
     # w < p draws from the block sums, w > p from their triangular factor;
-    # the matrix path factors the same sigma through psd_sqrt
+    # the reference factors the same sigma's correlation matrix through psd_sqrt
     spec = ProcessSpec("linear", p=p, alpha=1.0, K=20, h=1, rho=0.5)
     panel = simulate(spec, n, RNG.derive("paths", p))
     est = sigma_tilde(panel, plan_blocks(n, M))
     assert (est.plan.w < p) == (p == 40)
     data = bootstrap_quantile(est, 0.95, 20_000, RNG.derive("paths-data", p))
-    mat = bootstrap_quantile(estimate_of(est.sigma), 0.95, 20_000,
-                             RNG.derive("paths-matrix", p))
-    assert data.clipped_mass == 0.0
-    assert abs(data.chi - mat.chi) < 3.0 * math.hypot(data.chi_se, mat.chi_se)
+    d = np.sqrt(np.diag(est.sigma))
+    corr = est.sigma / np.outer(d, d)
+    np.fill_diagonal(corr, 1.0)
+    gen = RNG.derive("paths-matrix", p).generator()
+    ref = np.sort(np.max(np.abs(gen.standard_normal((20_000, p)) @ psd_sqrt(corr)), axis=1))
+    ref_chi, ref_se = _order_statistic(ref, 0.95), _quantile_se(ref, 0.95)
+    assert abs(data.chi - ref_chi) < 3.0 * math.hypot(data.chi_se, ref_se)
 
 
 @settings(max_examples=25, deadline=None)
@@ -181,7 +191,7 @@ def test_constant_column_raises_and_offset_column_does_not():
     shifted = data.copy()
     shifted[:, 0] += 1e6
     rep = simultaneous_ci(Panel.from_data(shifted), 0.95, None, 2000, RNG)
-    assert np.isfinite(rep.chi) and rep.clipped_mass == 0.0
+    assert np.isfinite(rep.chi)
 
 
 # ---------------------------------------------------------------------------

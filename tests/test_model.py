@@ -166,6 +166,25 @@ def test_lag_sum_weights_match_the_panel_path(family, K, n, p, h, alpha, rho, se
     assert np.max(np.abs((lag_sum_weights(spec, n, m + 1) @ eps) @ B.T - gap)) <= tol
 
 
+@pytest.mark.parametrize("first_lag", [0, 129, 513, 1501])
+def test_lag_sum_weights_keep_their_digits_in_the_tail(first_lag):
+    # each weight against a correctly rounded sum of its own segment
+    spec = ProcessSpec("linear", p=1, alpha=2.0, K=2000)
+    K, n = spec.K, 4096
+    c = spec.lag_weights().tolist()
+    D = lag_sum_weights(spec, n, first_lag)
+    segments = {}
+    worst = 0.0
+    for t, d in zip(range(-K, n), D):
+        lo, hi = max(first_lag, -t), min(K, n - 1 - t) + 1
+        if hi > lo:
+            ref = segments.setdefault((lo, hi), math.fsum(c[lo:hi]))
+            worst = max(worst, abs(d - ref) / abs(ref))
+        else:
+            assert d == 0.0
+    assert worst <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # stationarity proxy and heavy tails
 # ---------------------------------------------------------------------------
