@@ -393,14 +393,14 @@ def cmd_check_conditions(args) -> int:
         profile = closed_form_profile(spec, args.q, args.alpha, nu=nu)
     else:
         raise ValidationError("check-conditions needs --profile or --config")
-    report = ga_condition_check(profile, args.n, p=args.p, nu=nu)
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    report = ga_condition_check(profile, args.n, p=args.p, nu=nu).to_json_dict()
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}")
+        out = Path(args.out)
+        _write_outputs(args, "check-conditions", _beside(out, ".manifest.json"),
+                       [(out, io.write_json, report)], args.config)
+        print(f"wrote {out}")
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .depmeasure import (AuxNorms, DependenceProfile, adjusted_norm, adjusted_norms,
                          _SE_RESAMPLES, _check_mc_order, _tail_sums)
 from .errors import ValidationError
-from .gboot import bootstrap_quantile
+from .gboot import bootstrap_quantile, check_symmetric
 from .longrun import BlockPlan, LongRunEstimate, _abs_max, plan_blocks
 from .model import Panel, ProcessSpec, simulate_coupled
 from .rng import RngContract
@@ -55,10 +55,6 @@ class CovPanel:
     data: np.ndarray
     gamma_hat: np.ndarray
     p: int
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
     def as_panel(self) -> Panel:
         return Panel.from_data(self.data)
@@ -214,7 +210,8 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
 
     Runs the mean-subtracted batched estimator and the multiplier bootstrap
     on the product panel, from its block sums (see product_block_sums);
-    tau_a is taken from the diagonal of that estimate.  The default null
+    tau_a is taken from the diagonal of that estimate.  A given null_gamma
+    is a symmetric p x p matrix (psd_sqrt's tolerance); the default null
     has zero off-diagonals and leaves the variances untested (diagonal
     entries set to their sample values).
     """
@@ -233,14 +230,10 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
         null_gamma = np.asarray(null_gamma, dtype=float)
         if not np.all(np.isfinite(null_gamma)):
             raise ValidationError("null gamma has non-finite entries")
-        if null_gamma.shape == (p, p):
-            null_flat = null_gamma[js, ks]
-        elif null_gamma.shape == (n_pairs(p),):
-            null_flat = null_gamma
-        else:
-            raise ValidationError(
-                f"null gamma must be ({p},{p}) or flat ({n_pairs(p)},), "
-                f"got {null_gamma.shape}")
+        if null_gamma.shape != (p, p):
+            raise ValidationError(f"null gamma must be ({p},{p}), got {null_gamma.shape}")
+        check_symmetric(null_gamma, "null gamma")
+        null_flat = null_gamma[js, ks]
 
     # |X_ij X_ik| <= max|X_j| max|X_k| bounds the product columns
     abs_max = _abs_max(panel, plan)

@@ -247,7 +247,7 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
         raise ValidationError(
             "no closed-form profile for symmetric-pareto innovations; use mc_profile")
     if law.kind == "student-t":
-        if spec.family == "linear" and spec.h > 0:
+        if spec.h > 0:
             raise ValidationError(
                 "closed-form student-t profiles require h = 0; use mc_profile")
         if not law.admits_moment(q):

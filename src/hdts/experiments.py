@@ -103,10 +103,6 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     if n_perm < 0:
         raise ValidationError(f"n_perm must be >= 0, got {n_perm}")
     if sigma is None:
-        if spec.family not in ("iid", "linear"):
-            raise ValidationError(
-                f"no closed-form Sigma for family {spec.family!r}; pass "
-                "sigma=mc_long_run_sigma(spec, ...) explicitly")
         sigma = true_sigma(spec)
     d0 = np.sqrt(np.diag(sigma))
     if np.min(d0) <= 0:
@@ -294,12 +290,11 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
                     threads: int = 1) -> MdepResult:
     """Monte Carlo decay of ||S_n - S_{n,m}||_q / sqrt(n) against m^-alpha.
 
-    Restricted to iid/linear families, where each S_n - S_{n,m} is the
-    lag-sum weights applied to the innovations simulate would draw; for iid
-    every difference is exactly zero and the fitted slope is NaN.
+    Restricted to iid/linear families (mdep_oracle_norm rejects any other
+    before a replication runs), where each S_n - S_{n,m} is the lag-sum
+    weights applied to the innovations simulate would draw; for iid every
+    difference is exactly zero and the fitted slope is NaN.
     """
-    if spec.family not in ("iid", "linear"):
-        raise ValidationError("mdep_rate_check needs the iid or linear family")
     m_grid = list(m_grid)
     if len(m_grid) < 3:
         raise ValidationError(f"need an m-grid with >= 3 points, got {len(m_grid)}")

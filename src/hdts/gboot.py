@@ -29,6 +29,13 @@ from .rng import RngContract
 _DRAW_CHUNK = 1024  # fixed chunk size so draws do not depend on scheduling
 
 
+def check_symmetric(matrix: np.ndarray, what: str) -> None:
+    """Raise ValidationError unless max|A - A^T| <= 1e-10 * (1 + max|A|)."""
+    scale = 1.0 + np.max(np.abs(matrix))
+    if np.max(np.abs(matrix - matrix.T)) > 1e-10 * scale:
+        raise ValidationError(f"{what} is not symmetric within 1e-10 relative tolerance")
+
+
 def psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     """Symmetric eigendecomposition square root, clipping negative eigenvalues.
 
@@ -40,9 +47,7 @@ def psd_sqrt(sigma: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {sigma.shape}")
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("matrix contains non-finite entries")
-    scale = 1.0 + np.max(np.abs(sigma))
-    if np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
-        raise ValidationError("matrix is not symmetric within 1e-10 relative tolerance")
+    check_symmetric(sigma, "matrix")
     sym = 0.5 * (sigma + sigma.T)
     try:
         lam, V = np.linalg.eigh(sym)
@@ -55,25 +60,9 @@ def psd_sqrt(sigma: np.ndarray) -> np.ndarray:
 class BootstrapQuantile:
     """Conditional theta-quantile of the normalized Gaussian maximum."""
 
-    theta: float
     chi: float
-    B: int
     chi_se: float
     draws: np.ndarray            # unsorted, in stream order
-
-    @property
-    def ecdf_p(self) -> np.ndarray:
-        return (np.arange(512) + 0.5) / 512.0
-
-    @property
-    def ecdf_u(self) -> np.ndarray:
-        """512-point quantile grid of the draws, built only when read."""
-        return np.quantile(self.draws, self.ecdf_p)
-
-    def to_json_dict(self) -> dict:
-        return {"theta": self.theta, "chi": self.chi, "B": self.B,
-                "chi_se": self.chi_se, "ecdf_u": self.ecdf_u.tolist(),
-                "ecdf_p": self.ecdf_p.tolist()}
 
 
 def _order_statistic(sorted_draws: np.ndarray, theta: float) -> float:
@@ -140,7 +129,7 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
     sorted_draws = np.sort(draws)
     chi = _order_statistic(sorted_draws, theta)
     se = _quantile_se(sorted_draws, theta)
-    return BootstrapQuantile(theta=theta, chi=chi, B=B, chi_se=se, draws=draws)
+    return BootstrapQuantile(chi=chi, chi_se=se, draws=draws)
 
 
 @dataclass

@@ -162,8 +162,6 @@ def autocovariance(spec: ProcessSpec, k: int) -> np.ndarray:
     """Gamma(k) = E X_0 X_k^T in closed form for iid/linear specs."""
     _closed_form_guard(spec)
     var = spec.innovation.variance
-    if spec.family == "iid":
-        return var * np.eye(spec.p) if k == 0 else np.zeros((spec.p, spec.p))
     c = spec.lag_weights()
     k = abs(k)
     g = float(np.dot(c[:c.shape[0] - k], c[k:])) if k < c.shape[0] else 0.0
@@ -174,12 +172,10 @@ def autocovariance(spec: ProcessSpec, k: int) -> np.ndarray:
 def true_sigma(spec: ProcessSpec) -> np.ndarray:
     """Long-run covariance Sigma = sum_k Gamma(k) in closed form.
 
-    Linear family: Sigma = var(eps) * (sum_k A_k)(sum_k A_k)^T.
+    Sigma = var(eps) * (sum_k A_k)(sum_k A_k)^T, which is var(eps) * I for iid.
     """
     _closed_form_guard(spec)
     var = spec.innovation.variance
-    if spec.family == "iid":
-        return var * np.eye(spec.p)
     c_sum = float(np.sum(spec.lag_weights()))
     B = spec.cross_mixer()
     return var * c_sum ** 2 * (B @ B.T)

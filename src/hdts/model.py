@@ -2,12 +2,14 @@
 
 Three families are supported:
 
-* ``iid``          -- rows are independent draws of the innovation law.
 * ``linear``       -- X_i = sum_{k=0..K} A_k eps_{i-k} with separable
                       coefficients A_k = (k+1)^{-(alpha+1)} * B, where B is the
                       banded cross-sectional mixer B[j,l] = rho^{|j-l|} 1{|j-l|<=h}.
                       The lag cutoff K makes simulation exact: presample
                       innovations are drawn explicitly.
+* ``iid``          -- rows are independent draws of the innovation law: the
+                      linear process at K = 0 and h = 0, which is how an iid
+                      spec is stored, so it runs the linear code throughout.
 * ``threshold-ar`` -- coordinatewise X_i = theta1*max(X_{i-1},0)
                       + theta2*min(X_{i-1},0) + eps_i, geometrically contracting
                       when |theta1| v |theta2| < 1; a burn-in prefix is discarded.
@@ -285,7 +287,8 @@ class ProcessSpec:
     Only the fields relevant to the chosen family are used; the rest keep
     their defaults.  ``K`` counts lags beyond 0, so the linear family uses
     the K+1 coefficient matrices A_0 .. A_K (K = 0 is the degenerate
-    no-memory case).
+    no-memory case).  An iid spec is stored as that case, with K = 0 and
+    h = 0 whatever was passed, so it equals the iid spec with defaults.
     """
 
     family: str
@@ -304,6 +307,9 @@ class ProcessSpec:
             raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.p < 1:
             raise ValidationError(f"dimension p must be >= 1, got {self.p}")
+        if self.family == "iid":
+            object.__setattr__(self, "K", 0)
+            object.__setattr__(self, "h", 0)
         if self.family == "linear":
             if self.alpha < 0:
                 raise ValidationError(f"decay exponent alpha must be >= 0, got {self.alpha}")
@@ -325,14 +331,12 @@ class ProcessSpec:
 
     def lag_weights(self) -> np.ndarray:
         """Temporal weights c_k = (k+1)^{-(alpha+1)}, k = 0..K."""
-        if self.family == "iid":
-            return np.ones(1)
         k = np.arange(self.K + 1, dtype=float)
         return (k + 1.0) ** (-(self.alpha + 1.0))
 
     def cross_mixer(self) -> np.ndarray:
         """Banded cross-sectional mixer B[j,l] = rho^{|j-l|} 1{|j-l| <= h}."""
-        if self.family == "iid" or self.h == 0:
+        if self.h == 0:
             return np.eye(self.p)
         dist = np.abs(np.subtract.outer(np.arange(self.p), np.arange(self.p)))
         B = np.where(dist <= self.h, self.rho ** dist, 0.0)
@@ -356,7 +360,7 @@ class InnovationRecord:
     """Innovations that produced a panel.
 
     values[r] is eps at time (offset + r); the panel occupies times 0..n-1,
-    so offset is -K for the linear family and -burn_in for threshold-ar.
+    so offset is -K for the linear family (0 for iid) and -burn_in for threshold-ar.
     """
 
     values: np.ndarray
@@ -412,8 +416,8 @@ def _linear_filter(eps: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     agree on a window give identical results there.
     """
     K = c.shape[0] - 1
-    out = np.zeros((n, eps.shape[1]))
-    for k in range(K + 1):
+    out = c[0] * eps[K:K + n]
+    for k in range(1, K + 1):
         out += c[k] * eps[K - k:K - k + n]
     return out
 
@@ -431,27 +435,19 @@ def _tar_path(eps: np.ndarray, theta1: float, theta2: float,
 
 
 def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> InnovationRecord:
-    if spec.family == "linear":
-        offset = -spec.K
-    elif spec.family == "threshold-ar":
-        offset = -spec.burn_in
-    else:
-        offset = 0
+    offset = -spec.burn_in if spec.family == "threshold-ar" else -spec.K
     gen = rng.derive("innovations").generator()
     values = spec.innovation.sample(gen, (n - offset, spec.p))
     return InnovationRecord(values=values, offset=offset)
 
 
 def _build(spec: ProcessSpec, n: int, innov: InnovationRecord) -> np.ndarray:
-    if spec.family == "iid":
-        return innov.values[-innov.offset:].copy()
-    if spec.family == "linear":
-        x = _linear_filter(innov.values, spec.lag_weights(), n)
-        if spec.h > 0:
-            x = x @ spec.cross_mixer().T
-        return x
-    path = _tar_path(innov.values, spec.theta1, spec.theta2)
-    return path[spec.burn_in:]
+    if spec.family == "threshold-ar":
+        return _tar_path(innov.values, spec.theta1, spec.theta2)[spec.burn_in:]
+    x = _linear_filter(innov.values, spec.lag_weights(), n)
+    if spec.h > 0:
+        x = x @ spec.cross_mixer().T
+    return x
 
 
 def simulate(spec: ProcessSpec, n: int, rng: RngContract) -> Panel:
@@ -504,8 +500,8 @@ def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
 
 def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Panel:
     """Panel of the m-dependent approximations X_{i,m} = E[X_i | eps_{i-m..i}]
-    built from stored innovations: for iid the original panel, for linear
-    the lag sum truncated at min(m, K).  Other families raise.
+    built from stored innovations: the lag sum truncated at min(m, K), so
+    the original panel for iid (K = 0).  threshold-ar raises.
     """
     if spec.family not in ("iid", "linear"):
         raise ValidationError(
@@ -515,13 +511,10 @@ def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Pa
     if innov is None:
         raise ValidationError("m_dependent_approx requires the panel's innovation record")
     n = innov.n
-    if spec.family == "iid":
-        data = innov.values[-innov.offset:].copy()
-    else:
-        c = spec.lag_weights()[:min(m, spec.K) + 1]
-        # reuse rows covering times -min(m,K)..n-1 of the record
-        need = innov.values[innov.values.shape[0] - n - (c.shape[0] - 1):]
-        data = _linear_filter(need, c, n)
-        if spec.h > 0:
-            data = data @ spec.cross_mixer().T
+    c = spec.lag_weights()[:min(m, spec.K) + 1]
+    # reuse rows covering times -min(m,K)..n-1 of the record
+    need = innov.values[innov.values.shape[0] - n - (c.shape[0] - 1):]
+    data = _linear_filter(need, c, n)
+    if spec.h > 0:
+        data = data @ spec.cross_mixer().T
     return Panel(data=data, innovations=innov)

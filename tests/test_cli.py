@@ -193,6 +193,18 @@ def test_null_csv_with_non_finite_entries_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o.covtest.json").exists()
 
 
+def test_asymmetric_null_exit_code(tmp_path, capsys):
+    panel = tmp_path / "panel.bin"
+    io.write_array_binary(
+        panel, RngContract(4).derive("null").generator().standard_normal((300, 2)))
+    null = tmp_path / "null.csv"
+    null.write_text("1,0\n5,1\n")
+    _bad_csv_exit(tmp_path, capsys,
+                  ["covtest", "--panel", str(panel), "--null", str(null)],
+                  "not symmetric")
+    assert not (tmp_path / "o.covtest.json").exists()
+
+
 def test_panel_without_rows_or_columns_exit_code(tmp_path, capsys):
     io.write_array_binary(tmp_path / "no_cols.bin", np.zeros((10, 0)))
     io.write_array_binary(tmp_path / "no_rows.bin", np.zeros((0, 3)))
@@ -266,6 +278,21 @@ def test_check_conditions_cli(tmp_path, capsys):
     rc = main(["check-conditions", "--config", cfg, "--n", "4096",
                "--sub-exponential"])
     assert rc == 2
+
+
+def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
+    from hdts.util import sha256_file
+    cfg = write_config(tmp_path / "cfg.ini")
+    argv = ["check-conditions", "--config", cfg, "--n", "4096"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "sub" / "report.json"
+    assert main(["--seed", "5"] + argv + ["--out", str(out)]) == 0
+    assert out.read_text() == stdout
+    man = json.loads((tmp_path / "sub" / "report.json.manifest.json").read_text())
+    assert man["command"] == "check-conditions" and man["base_seed"] == 5
+    assert man["outputs"] == {"report.json": sha256_file(out)}
+    assert man["config_digest"] == io.config_digest_of(cfg)
 
 
 def test_spec_config_round_trip(tmp_path):
@@ -395,6 +422,25 @@ def test_experiment_cli_matches_library(tmp_path, kind):
     io.write_rows_csv(tmp_path / "lib.csv", res.rows)
     assert (tmp_path / "out" / "report.csv").read_bytes() == \
         (tmp_path / "lib.csv").read_bytes()
+
+
+def test_ga_experiment_on_threshold_ar_uses_the_approximate_sigma(tmp_path, monkeypatch):
+    import hdts.cli as cli
+    real = cli.mc_long_run_sigma
+
+    def short_path(spec, rng=None):
+        return real(spec, length=20_000, rng=rng)
+    monkeypatch.setattr(cli, "mc_long_run_sigma", short_path)
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(DEFAULT_CONFIG.replace("family = linear", "family = threshold-ar")
+                                 .replace("kind = coverage", "kind = ga")
+                                 .replace("R = 200", "R = 30")
+                                 .replace("n = 500", "n = 100"))
+    assert main(["--threads", "1", "experiment", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "report.meta.json").read_text())["meta"]
+    assert meta["family"] == "threshold-ar"
+    assert meta["sigma_oracle"] == "approximate-batched-mean"
 
 
 def test_every_default_config_key_is_read(tmp_path, monkeypatch):

@@ -211,6 +211,33 @@ def test_cov_test_level_iid():
     assert rejections / R <= 0.05 + 0.02
 
 
+def test_cov_test_size_at_large_n():
+    # the procedure reaches its nominal level as n grows: at n = 4000 the
+    # rejection rate sits within a 3-sigma binomial band around 0.05
+    spec = ProcessSpec("iid", p=5)
+    R = 1000
+    rejections = 0
+    for r in range(R):
+        panel = simulate(spec, 4000, RNG.derive("size-4000", r))
+        rejections += cov_simultaneous_test(panel, 0.95, 1, 1000,
+                                            RNG.derive("size-4000-boot", r),
+                                            null_gamma=np.eye(5)).reject
+    assert abs(rejections / R - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / R)
+
+
+def test_cov_test_rejects_an_asymmetric_null():
+    panel = simulate(ProcessSpec("iid", p=2), 300, RNG.derive("asym"))
+    with pytest.raises(ValidationError, match="symmetric"):
+        cov_simultaneous_test(panel, 0.95, 1, 1000, RNG, null_gamma=[[1.0, 0.0], [5.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"\(2,2\)"):
+        cov_simultaneous_test(panel, 0.95, 1, 1000, RNG, null_gamma=[1.0, 0.0, 1.0])
+    # a null symmetric up to rounding is accepted and read from its upper triangle
+    near = np.eye(2)
+    near[1, 0] = 1e-14
+    assert cov_simultaneous_test(panel, 0.95, 1, 1000, RNG, null_gamma=near).statistic == \
+        cov_simultaneous_test(panel, 0.95, 1, 1000, RNG, null_gamma=np.eye(2)).statistic
+
+
 def test_cov_test_default_null_leaves_variances_untested():
     # scale one coordinate: with the default null only off-diagonals count
     gen = RNG.derive("scalevar-2").generator()

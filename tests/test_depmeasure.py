@@ -156,6 +156,27 @@ def test_mc_profile_matches_closed_form_linear():
     assert mc.Psi == pytest.approx(cf.Psi, rel=0.05)
 
 
+@pytest.mark.parametrize("law, tail", [
+    (InnovationLaw.gaussian(), "closed-form"),
+    (InnovationLaw.symmetric_pareto(4.0), "extrapolated-from-lag-0"),
+])
+def test_mc_profile_extends_linear_tail_past_the_horizon(law, tail):
+    # K > lags: Delta past the horizon is the tail sum of c_i * kappa, with
+    # kappa exact for Gaussian innovations and delta_hat_0 / c_0 otherwise
+    lags, q = 5, 4.0
+    spec = ProcessSpec("linear", p=2, innovation=law, alpha=1.0, K=40, h=1, rho=0.3)
+    prof = mc_profile(spec, q, 1.0, 100, RNG.derive("mc-ext"), lags=lags)
+    assert prof.source["tail"] == tail
+    c = spec.lag_weights()
+    if tail == "closed-form":
+        kappa = law.diff_norm(q) * np.linalg.norm(spec.cross_mixer(), axis=1)
+    else:
+        kappa = prof.delta[0] / c[0]
+    beyond = np.multiply.outer(c[lags + 1:], kappa)
+    assert prof.Delta.shape == (spec.K + 1, spec.p)
+    assert np.array_equal(prof.Delta[lags + 1:], np.cumsum(beyond[::-1], axis=0)[::-1])
+
+
 def test_mc_profile_threshold_ar_contraction_slope():
     theta = 0.5
     spec = ProcessSpec("threshold-ar", p=1, theta1=theta, theta2=theta, burn_in=64)

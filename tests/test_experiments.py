@@ -81,6 +81,16 @@ def test_ga_distance_guards():
         ga_distance(tar, 100, 200, RNG)
 
 
+def test_mdep_rate_check_rejects_threshold_ar_before_replicating(monkeypatch):
+    import hdts.experiments as ex
+
+    def fail(*args, **kwargs):
+        raise AssertionError("replications ran for a family without an oracle")
+    monkeypatch.setattr(ex, "run_indexed", fail)
+    with pytest.raises(ValidationError, match="iid or linear"):
+        mdep_rate_check(ProcessSpec("threshold-ar", p=2), 2.0, 1.0, [2, 4, 8], 20, RNG)
+
+
 def test_ga_distance_rejects_negative_n_perm(monkeypatch):
     import hdts.experiments as ex
 

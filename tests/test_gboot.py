@@ -125,14 +125,6 @@ def test_normalization_invariance_under_coordinate_rescaling():
     assert abs(a.chi - b.chi) < 1e-10
 
 
-def test_ecdf_summary_shape():
-    bq = bootstrap_quantile(estimate_of(np.eye(3)), 0.9, 2048, RNG.derive("ecdf"))
-    assert bq.ecdf_u.shape == (512,) and bq.ecdf_p.shape == (512,)
-    assert np.all(np.diff(bq.ecdf_u) >= 0.0)
-    d = bq.to_json_dict()
-    assert set(d) >= {"theta", "chi", "B", "chi_se"}
-
-
 # ---------------------------------------------------------------------------
 # factor form on block sums
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -164,6 +165,29 @@ def test_lag_sum_weights_match_the_panel_path(family, K, n, p, h, alpha, rho, se
     tol = 1e-12 * np.max(np.sum(np.abs(panel.data), axis=0))
     assert np.max(np.abs((lag_sum_weights(spec, n, 0) @ eps) @ B.T - s_full)) <= tol
     assert np.max(np.abs((lag_sum_weights(spec, n, m + 1) @ eps) @ B.T - gap)) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 4), K=st.integers(0, 60), h=st.integers(0, 3),
+       alpha=st.floats(0.0, 3.0), rho=st.floats(0.0, 0.95),
+       law=st.sampled_from([InnovationLaw.gaussian(), InnovationLaw.student_t(9.0)]),
+       n=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1))
+def test_iid_is_the_linear_process_at_lag_zero(p, K, h, alpha, rho, law, n, seed):
+    from hdts.depmeasure import closed_form_profile
+    from hdts.longrun import autocovariance, true_sigma
+    iid = ProcessSpec("iid", p=p, innovation=law, alpha=alpha, K=K, h=h, rho=rho)
+    lin = ProcessSpec("linear", p=p, innovation=law, alpha=alpha, K=0, h=0, rho=rho)
+    assert iid == ProcessSpec("iid", p=p, innovation=law, alpha=alpha, rho=rho)
+    assert np.array_equal(simulate(iid, n, RngContract(seed)).data,
+                          simulate(lin, n, RngContract(seed)).data)
+    for a, b in zip(simulate_coupled(iid, n, RngContract(seed)),
+                    simulate_coupled(lin, n, RngContract(seed))):
+        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(true_sigma(iid), true_sigma(lin))
+    for k in (0, 1, -2):
+        assert np.array_equal(autocovariance(iid, k), autocovariance(lin, k))
+    prof_iid, prof_lin = (closed_form_profile(s, 8.0, 1.5).to_json_dict() for s in (iid, lin))
+    assert json.dumps(prof_iid) == json.dumps(prof_lin)
 
 
 @pytest.mark.parametrize("first_lag", [0, 129, 513, 1501])
