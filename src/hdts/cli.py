@@ -29,6 +29,7 @@ from .gboot import simultaneous_ci
 from .longrun import plan_blocks, sigma_tilde
 from .model import InnovationLaw, Panel, ProcessSpec, simulate
 from .rng import RngContract
+from .util import sha256_file
 
 DEFAULT_CONFIG = """\
 [process]
@@ -192,7 +193,7 @@ def _write_outputs(args, command: str, manifest_path: Path, outputs,
     man = io.RunManifest(
         tool_version=TOOL_VERSION, command=command, base_seed=args.seed,
         threads=args.threads,
-        config_digest=io.config_digest_of(config_path) if config_path else None)
+        config_digest=sha256_file(config_path) if config_path else None)
     for path, write, *write_args in outputs:
         write(path, *write_args)
         man.add_output(path)
@@ -209,8 +210,8 @@ def cmd_simulate(args) -> int:
     n = _get(cfg, "simulate", "n", int, "integer")
     panel = simulate(spec, n, RngContract(args.seed))
     base = Path(args.out or "panel")
-    csv_path = base.with_suffix(".csv")
-    bin_path = base.with_suffix(".bin")
+    csv_path = _beside(base, ".csv")
+    bin_path = _beside(base, ".bin")
     _write_outputs(args, "simulate", _beside(base, ".manifest.json"),
                    [(csv_path, io.write_panel_csv, panel.data),
                     (bin_path, io.write_array_binary, panel.data)], args.config)
@@ -240,15 +241,13 @@ def cmd_ci(args) -> int:
     panel = Panel.from_data(data)
     report = simultaneous_ci(panel, args.theta, _opt_M(args.M), args.B,
                              RngContract(args.seed))
-    rows = [{"j": j + 1, "mu_hat": float(report.mu_hat[j]),
-             "lo": float(report.lo[j]), "hi": float(report.hi[j]),
-             "sigma_tilde_jj": float(report.sigma_diag[j])}
-            for j in range(report.mu_hat.shape[0])]
+    rows = [{"j": j, "mu_hat": mu, "lo": lo, "hi": hi, "sigma_tilde_jj": s}
+            for j, mu, lo, hi, s in zip(range(1, panel.p + 1), report.mu_hat,
+                                        report.lo, report.hi, report.sigma_diag)]
     base = Path(args.out or "ci")
     csv_path = _beside(base, ".ci.csv")
     _write_outputs(args, "ci", _beside(base, ".manifest.json"), [
-        (csv_path, io.write_rows_csv, rows,
-         ["j", "mu_hat", "lo", "hi", "sigma_tilde_jj"]),
+        (csv_path, io.write_rows_csv, rows),
         (_beside(base, ".ci.json"), io.write_json, report.sidecar_dict())])
     print(f"wrote {csv_path} (chi={report.chi:.6g}, M={report.M}, w={report.w})")
     return 0
@@ -261,17 +260,15 @@ def cmd_covtest(args) -> int:
     res = cov_simultaneous_test(panel, args.theta, _opt_M(args.M), args.B,
                                 RngContract(args.seed), null_gamma=null_gamma)
     js, ks = pair_indices(panel.p)
-    rows = [{"j": int(js[a]) + 1, "k": int(ks[a]) + 1,
-             "gamma_hat": float(res.gamma_hat[a]),
-             "stat": float(res.pair_stats[a]),
-             "threshold": float(res.threshold),
-             "flag": int(res.pair_stats[a] > res.threshold)}
-            for a in range(res.gamma_hat.shape[0])]
+    flags = (res.pair_stats > res.threshold).astype(int)
+    rows = [{"j": j, "k": k, "gamma_hat": g, "stat": s,
+             "threshold": res.threshold, "flag": flag}
+            for j, k, g, s, flag in zip(js + 1, ks + 1, res.gamma_hat,
+                                        res.pair_stats, flags)]
     base = Path(args.out or "covtest")
     csv_path = _beside(base, ".covtest.csv")
     _write_outputs(args, "covtest", _beside(base, ".manifest.json"), [
-        (csv_path, io.write_rows_csv, rows,
-         ["j", "k", "gamma_hat", "stat", "threshold", "flag"]),
+        (csv_path, io.write_rows_csv, rows),
         (_beside(base, ".covtest.json"), io.write_json,
          {"theta": res.theta, "statistic": res.statistic,
           "threshold": res.threshold, "reject": res.reject,
@@ -371,7 +368,7 @@ def cmd_experiment(args) -> int:
     outputs = [(csv_path, io.write_rows_csv, rows)]
     if args.dump_ecdf:
         outputs += [(out_dir / f"{name}.ecdf.csv", io.write_rows_csv,
-                     ecdf_dump_rows(sample, gauss), ["u", "ecdf_sample", "ecdf_gauss"])
+                     ecdf_dump_rows(sample, gauss))
                     for name, sample, gauss in ecdf_cells]
     io.write_json(out_dir / "report.meta.json",
                   {"meta": {"kind": kind, "family": spec.family, **meta},

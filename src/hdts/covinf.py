@@ -24,6 +24,9 @@ from .longrun import BlockPlan, LongRunEstimate, _abs_max, plan_blocks
 from .model import Panel, ProcessSpec, simulate_coupled
 from .rng import RngContract
 
+# cov_simultaneous_test refuses more coordinate pairs than this (p <= 99)
+MAX_PAIRS = 5000
+
 
 def n_pairs(p: int) -> int:
     return p * (p + 1) // 2
@@ -55,9 +58,6 @@ class CovPanel:
     data: np.ndarray
     gamma_hat: np.ndarray
     p: int
-
-    def as_panel(self) -> Panel:
-        return Panel.from_data(self.data)
 
 
 def build_cov_panel(panel: Panel) -> CovPanel:
@@ -204,8 +204,8 @@ class CovTestResult:
 
 
 def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
-                          rng: RngContract, null_gamma: np.ndarray | None = None,
-                          max_pairs: int = 5000) -> CovTestResult:
+                          rng: RngContract, null_gamma: np.ndarray | None = None
+                          ) -> CovTestResult:
     """Simultaneous test of all covariance entries at level 1 - theta.
 
     Runs the mean-subtracted batched estimator and the multiplier bootstrap
@@ -216,9 +216,9 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
     entries set to their sample values).
     """
     p = panel.p
-    if n_pairs(p) > max_pairs:
+    if n_pairs(p) > MAX_PAIRS:
         raise ValidationError(
-            f"p(p+1)/2 = {n_pairs(p)} exceeds the guard of {max_pairs} columns; "
+            f"p(p+1)/2 = {n_pairs(p)} exceeds the guard of {MAX_PAIRS} columns; "
             "test a coordinate subset")
     plan = plan_blocks(panel.n, M)
     Y, gamma_hat = product_block_sums(panel, plan)

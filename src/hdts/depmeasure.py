@@ -17,7 +17,7 @@ from scipy.stats import norm
 
 from .errors import BoundaryError, ValidationError
 from .longrun import f_alpha_factor, plan_blocks
-from .model import ProcessSpec, gaussian_abs_moment_root, simulate_coupled
+from .model import ProcessSpec, simulate_coupled
 from .rng import RngContract
 
 # AuxNorms attributes (at decay 0, at the profile's alpha) per auxiliary order
@@ -36,9 +36,6 @@ def gaussian_maxabs_moment_root(p: int, q: float) -> float:
     Uses E M^q = int_0^inf q u^{q-1} P(M > u) du with the stable tail
     P(M > u) = 1 - exp(p*log(1 - 2*Phi^c(u))).
     """
-    if p == 1:
-        return gaussian_abs_moment_root(q)
-
     def tail(u):
         return -np.expm1(p * np.log1p(-2.0 * norm.sf(u)))
 
@@ -476,8 +473,8 @@ def power_law_min_tau(kappa1: float, kappa2: float, q: float, alpha: float) -> f
 
 
 def ga_condition_check(profile: DependenceProfile, n: int,
-                       p: float | None = None, nu: float | None = None,
-                       M: int | None = None) -> GAConditionReport:
+                       p: float | None = None, nu: float | None = None
+                       ) -> GAConditionReport:
     """Evaluate every explicit approximation condition at finite (n, p).
 
     Each condition is reported as left/right values with a satisfied flag
@@ -522,7 +519,7 @@ def ga_condition_check(profile: DependenceProfile, n: int,
     N3 = (n ** 0.5 * lp ** (-0.5) / Theta) ** (1.0 / (0.5 - alpha)) \
         if alpha < 0.5 else None
 
-    plan = plan_blocks(n, M)
+    plan = plan_blocks(n)
     try:
         F_alpha = f_alpha_factor(q, alpha, plan.w, plan.M)
     except BoundaryError:

@@ -393,5 +393,5 @@ def ecdf_dump_rows(sample, gauss) -> list[dict]:
     pooled = np.unique(np.concatenate([sample, gauss]))
     es = np.searchsorted(sample, pooled, side="right") / sample.size
     eg = np.searchsorted(gauss, pooled, side="right") / gauss.size
-    return [{"u": float(u), "ecdf_sample": float(a), "ecdf_gauss": float(b)}
+    return [{"u": u, "ecdf_sample": a, "ecdf_gauss": b}
             for u, a, b in zip(pooled, es, eg)]

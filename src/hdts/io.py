@@ -3,8 +3,9 @@ sidecars and run manifests.
 
 HDTS1 layout: 5 magic bytes ``HDTS1``, then two little-endian uint64
 (rows, cols), then rows*cols little-endian float64 in row-major order.
-All text output uses %.17g so that round-trips and reruns are
-byte-identical.
+Every CSV line is built by one formatter, ``_csv_lines``: floats are
+printed with %.17g (``_fmt``) so that round-trips and reruns are
+byte-identical, other cells with ``str``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,22 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .util import sha256_bytes, sha256_file
+from .util import sha256_file
 
 MAGIC = b"HDTS1"
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _csv_lines(header, rows):
+    """CSV lines ending in \\n: the header unless it is None, then each row
+    with floats formatted by _fmt and other values by str."""
+    if header is not None:
+        yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +77,10 @@ def read_array_binary(path) -> np.ndarray:
 def write_panel_csv(path, data: np.ndarray) -> None:
     """Header t,x1..xp; t counts observations from 1."""
     data = np.asarray(data, dtype=float)
-    p = data.shape[1]
+    header = ["t"] + [f"x{j + 1}" for j in range(data.shape[1])]
+    rows = ((t, *row) for t, row in enumerate(data, start=1))
     with open(path, "w", newline="") as f:
-        f.write("t," + ",".join(f"x{j + 1}" for j in range(p)) + "\n")
-        for t, row in enumerate(data, start=1):
-            f.write(str(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(_csv_lines(header, rows))
 
 
 def _parse_rows(path, lines, first_line: int, skip: int,
@@ -108,10 +117,8 @@ def read_panel_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=float)
     with open(path, "w", newline="") as f:
-        for row in arr:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(_csv_lines(None, np.asarray(arr, dtype=float)))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -126,21 +133,16 @@ def read_panel_any(path) -> np.ndarray:
     return read_array_binary(path) if head == MAGIC else read_panel_csv(path)
 
 
-def rows_csv_text(rows: list[dict], columns: list[str] | None = None) -> str:
-    """CSV text of dict rows: a header, then floats with %.17g and other
-    values with str.  Columns default to the keys of the first row."""
+def rows_csv_text(rows: list[dict]) -> str:
+    """CSV text of dict rows under a header of the first row's keys."""
     if not rows:
         raise ValidationError("no rows to write")
-    cols = columns if columns is not None else list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in cols))
-    return "\n".join(lines) + "\n"
+    cols = list(rows[0])
+    return "".join(_csv_lines(cols, ([row[c] for c in cols] for row in rows)))
 
 
-def write_rows_csv(path, rows: list[dict], columns: list[str] | None = None) -> None:
-    text = rows_csv_text(rows, columns)
+def write_rows_csv(path, rows: list[dict]) -> None:
+    text = rows_csv_text(rows)
     with open(path, "w", newline="") as f:
         f.write(text)
 
@@ -186,8 +188,3 @@ class RunManifest:
     def write(self, path) -> None:
         self.created_utc = datetime.now(timezone.utc).isoformat()
         write_json(path, asdict(self))
-
-
-def config_digest_of(path) -> str:
-    with open(path, "rb") as f:
-        return sha256_bytes(f.read())

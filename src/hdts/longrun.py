@@ -33,12 +33,6 @@ class BlockPlan:
     def unused(self) -> int:
         return self.n - self.used
 
-    def block(self, b: int) -> range:
-        """0-based row range of block b, b = 1..w."""
-        if not 1 <= b <= self.w:
-            raise ValidationError(f"block index {b} outside 1..{self.w}")
-        return range((b - 1) * self.M, b * self.M)
-
 
 def plan_blocks(n: int, M: int | None = None) -> BlockPlan:
     """Blocks of length M, or of the default length floor(n^(1/3)) when M is None.

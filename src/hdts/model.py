@@ -246,8 +246,12 @@ def gaussian_abs_moment_root(q: float) -> float:
     return math.exp(log_mq / q)
 
 
+# Gauss-Legendre nodes per axis of the student-t coupling quadrature
+_T_QUAD_ORDER = 320
+
+
 @functools.lru_cache(maxsize=None)
-def _student_t_diff_norm(df: float, q: float, order: int = 320) -> float:
+def _student_t_diff_norm(df: float, q: float) -> float:
     """(E|T - T'|^q)^{1/q} for independent t(df) variables, by tensor
     Gauss-Legendre quadrature.
 
@@ -261,7 +265,7 @@ def _student_t_diff_norm(df: float, q: float, order: int = 320) -> float:
     """
     from scipy.stats import t as t_dist
     pdf = t_dist(df).pdf
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_T_QUAD_ORDER)
     u = 0.5 * (nodes + 1.0)
     wu = 0.5 * weights
     c = 2.0
@@ -422,12 +426,11 @@ def _linear_filter(eps: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _tar_path(eps: np.ndarray, theta1: float, theta2: float,
-              state: np.ndarray | None = None) -> np.ndarray:
-    """Iterate the threshold recursion over all rows of eps, from the given state."""
+def _tar_path(eps: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
+    """Iterate the threshold recursion over all rows of eps, from zero."""
     T, p = eps.shape
     out = np.empty((T, p))
-    x = np.zeros(p) if state is None else state.copy()
+    x = np.zeros(p)
     for t in range(T):
         x = theta1 * np.maximum(x, 0.0) + theta2 * np.minimum(x, 0.0) + eps[t]
         out[t] = x

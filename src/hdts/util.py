@@ -39,10 +39,6 @@ def count_inversions(values) -> int:
     return int(np.sum(np.diff(v) < 0))
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hdts import io
 from hdts.cli import DEFAULT_CONFIG, main
@@ -10,6 +13,7 @@ from hdts.gboot import simultaneous_ci
 from hdts.longrun import plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
+from hdts.util import sha256_file
 
 
 def write_config(path, extra=""):
@@ -31,20 +35,38 @@ def test_binary_round_trip(tmp_path):
         assert f.read(5) == b"HDTS1"
 
 
-def test_panel_csv_round_trip(tmp_path):
-    gen = RngContract(2).derive("io").generator()
-    arr = gen.standard_normal((9, 3)) * 1e-7
-    path = tmp_path / "x.csv"
+# signed zeros, subnormals and the largest finite doubles, besides any finite draw
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE_ARRAYS = st.tuples(st.integers(1, 20), st.integers(1, 6)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))))
+
+
+def _same_bits(got, want):
+    """Bitwise equality, so that -0.0 and 0.0 differ."""
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=_FINITE_ARRAYS)
+@example(arr=RngContract(2).derive("io").generator().standard_normal((9, 3)) * 1e-7)
+def test_panel_csv_round_trip(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("panel") / "x.csv"
     io.write_panel_csv(path, arr)
-    assert path.read_text().splitlines()[0] == "t,x1,x2,x3"
-    assert np.array_equal(io.read_panel_csv(path), arr)  # %.17g round-trips
+    assert path.read_text().splitlines()[0] == \
+        "t," + ",".join(f"x{j + 1}" for j in range(arr.shape[1]))
+    assert _same_bits(io.read_panel_csv(path), arr)  # %.17g round-trips
 
 
-def test_matrix_csv_round_trip(tmp_path):
-    arr = np.array([[1.0, -2.5], [3.0, 4.125]])
-    path = tmp_path / "m.csv"
+@settings(max_examples=60, deadline=None)
+@given(arr=_FINITE_ARRAYS)
+@example(arr=np.array([[1.0, -2.5], [3.0, 4.125]]))
+def test_matrix_csv_round_trip(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
     io.write_matrix_csv(path, arr)
-    assert np.array_equal(io.read_matrix_csv(path), arr)
+    assert _same_bits(io.read_matrix_csv(path), arr)
 
 
 def test_binary_trailing_bytes_rejected(tmp_path, capsys):
@@ -79,6 +101,21 @@ def test_simulate_matches_library_bit_exactly(tmp_path):
     assert np.array_equal(io.read_panel_csv(out.with_suffix(".csv")), want)
     manifest = json.loads((out.parent / "panel.manifest.json").read_text())
     assert set(manifest["outputs"]) == {"panel.csv", "panel.bin"}
+
+
+def test_simulate_dotted_out_keeps_each_runs_files(tmp_path):
+    # --out is a base path: a dot in it is kept, not replaced by .csv/.bin
+    cfg = write_config(tmp_path / "cfg.ini")
+    out = tmp_path / "out"
+    for seed, name in (("1", "run.v1"), ("2", "run.v2")):
+        assert main(["--seed", seed, "simulate", "--config", cfg,
+                     "--out", str(out / name)]) == 0
+    data = sorted(p.name for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+    assert data == ["run.v1.bin", "run.v1.csv", "run.v2.bin", "run.v2.csv"]
+    for name in ("run.v1", "run.v2"):
+        man = json.loads((out / f"{name}.manifest.json").read_text())
+        assert man["outputs"] == {f: sha256_file(out / f)
+                                  for f in (f"{name}.csv", f"{name}.bin")}
 
 
 def test_simulate_rerun_reproduces_digests(tmp_path):
@@ -281,7 +318,6 @@ def test_check_conditions_cli(tmp_path, capsys):
 
 
 def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
-    from hdts.util import sha256_file
     cfg = write_config(tmp_path / "cfg.ini")
     argv = ["check-conditions", "--config", cfg, "--n", "4096"]
     assert main(argv) == 0
@@ -292,7 +328,7 @@ def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
     man = json.loads((tmp_path / "sub" / "report.json.manifest.json").read_text())
     assert man["command"] == "check-conditions" and man["base_seed"] == 5
     assert man["outputs"] == {"report.json": sha256_file(out)}
-    assert man["config_digest"] == io.config_digest_of(cfg)
+    assert man["config_digest"] == sha256_file(cfg)
 
 
 def test_spec_config_round_trip(tmp_path):

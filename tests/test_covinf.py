@@ -305,9 +305,10 @@ def test_cov_test_permutation_symmetry():
 
 
 def test_cov_test_dimension_guard():
-    panel = simulate(ProcessSpec("iid", p=6), 100, RNG.derive("guard"))
+    # p = 100 gives 5050 pairs; the guard trips before any product is formed
+    panel = simulate(ProcessSpec("iid", p=100), 4, RNG.derive("guard"))
     with pytest.raises(ValidationError, match="coordinate subset"):
-        cov_simultaneous_test(panel, 0.95, None, 1000, RNG, max_pairs=10)
+        cov_simultaneous_test(panel, 0.95, None, 1000, RNG)
 
 
 def test_product_block_sums_match_product_panel():
@@ -318,7 +319,7 @@ def test_product_block_sums_match_product_panel():
     plan = plan_blocks(203, 10)
     Y, gamma_hat = product_block_sums(panel, plan)
     ref = build_cov_panel(panel)
-    want = _block_sums(ref.as_panel(), plan)
+    want = _block_sums(Panel(ref.data), plan)
     assert np.max(np.abs(Y - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(gamma_hat - ref.gamma_hat)) <= \
         1e-12 * np.max(np.abs(ref.gamma_hat))

@@ -283,12 +283,6 @@ def test_condition_check_uses_default_block_length():
     assert rep.F_alpha == f_alpha_factor(q, alpha, 100, 10)
 
 
-def test_condition_check_rejects_bad_block_length():
-    for bad_M in (200, -4, 0):
-        with pytest.raises(ValidationError, match="block length"):
-            ga_condition_check(synthetic(q=8.0, alpha=0.5), n=100, p=50, M=bad_M)
-
-
 def test_condition_missing_pieces_raise():
     bare = DependenceProfile(q=8.0, alpha=1.0, p=10, Psi=1.0, Upsilon=1.0,
                              sup_norm=1.0, Theta=1.0)

@@ -21,8 +21,6 @@ RNG = RngContract(40)
 def test_plan_examples():
     plan = plan_blocks(10, 3)
     assert (plan.w, plan.unused) == (3, 1)
-    assert list(plan.block(1)) == [0, 1, 2]
-    assert list(plan.block(3)) == [6, 7, 8]
     assert plan_blocks(8, 8).w == 1
     assert plan_blocks(10 ** 4, 21).w == 476
     assert default_block_length(10 ** 4) == 21
@@ -30,8 +28,6 @@ def test_plan_examples():
     for bad_M in (0, 11):
         with pytest.raises(ValidationError):
             plan_blocks(10, bad_M)
-    with pytest.raises(ValidationError):
-        plan_blocks(10, 3).block(4)
 
 
 # ---------------------------------------------------------------------------
