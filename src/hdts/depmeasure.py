@@ -12,8 +12,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
 
 from .errors import BoundaryError, ValidationError
 from .longrun import f_alpha_factor, plan_blocks
@@ -36,6 +34,9 @@ def gaussian_maxabs_moment_root(p: int, q: float) -> float:
     Uses E M^q = int_0^inf q u^{q-1} P(M > u) du with the stable tail
     P(M > u) = 1 - exp(p*log(1 - 2*Phi^c(u))).
     """
+    from scipy import integrate
+    from scipy.stats import norm
+
     def tail(u):
         return -np.expm1(p * np.log1p(-2.0 * norm.sf(u)))
 

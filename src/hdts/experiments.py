@@ -13,14 +13,12 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ValidationError
 from .gboot import psd_sqrt, simultaneous_ci
-from .io import rows_csv_text
 from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
 from .depmeasure import closed_form_profile
-from .model import (InnovationLaw, ProcessSpec, _draw_innovations,
+from .model import (InnovationLaw, ProcessSpec, _draw_innovations, column_sums,
                     gaussian_abs_moment_root, lag_sum_weights, simulate)
 from .rng import RngContract
 from .util import fit_loglog_slope, run_indexed
@@ -71,7 +69,7 @@ class GaDistanceResult:
     n: int
     p: int
     R: int
-    sample_stats: np.ndarray     # sqrt(n) |D0^{-1} xbar|_inf per replication
+    sample_stats: np.ndarray     # |D0^{-1} S_n|_inf / sqrt(n) per replication
     gauss_stats: np.ndarray      # |D0^{-1} Z|_inf draws
 
 
@@ -94,11 +92,13 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     """Two-sample KS distance between the normalized max statistic and its
     Gaussian analogue.
 
-    One sample holds R replications of sqrt(n)|D0^{-1} xbar|_inf; the other
-    holds R draws of |D0^{-1} Z|_inf with Z ~ N(0, Sigma).  Sigma comes
-    from the closed form for iid/linear specs; other families must pass an
-    (approximate) sigma, e.g. from mc_long_run_sigma.  n_perm = 0 skips
-    the permutation test.
+    One sample holds R replications of |D0^{-1} S_n|_inf / sqrt(n), where
+    S_n is the column-sum vector; the other holds R draws of
+    |D0^{-1} Z|_inf with Z ~ N(0, Sigma).  For iid/linear specs S_n comes
+    from the lag-sum weights applied to the innovations (model.column_sums),
+    so no panel is built, and Sigma from the closed form; other families
+    sum a simulated panel and must pass an (approximate) sigma, e.g. from
+    mc_long_run_sigma.  n_perm = 0 skips the permutation test.
     """
     if n_perm < 0:
         raise ValidationError(f"n_perm must be >= 0, got {n_perm}")
@@ -109,8 +109,8 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
         raise ValidationError("Sigma has a degenerate diagonal")
 
     def one_rep(r: int) -> float:
-        panel = simulate(spec, n, rng.derive("ga-panel", r))
-        return float(np.max(np.abs(panel.data.mean(axis=0)) / d0) * math.sqrt(n))
+        s = column_sums(spec, n, rng.derive("ga-panel", r))
+        return float(np.max(np.abs(s) / d0) / math.sqrt(n))
 
     sample_stats = np.array(run_indexed(one_rep, R, threads))
     root = psd_sqrt(sigma)
@@ -161,9 +161,6 @@ class ExperimentConfig:
 class ExperimentReport:
     rows: list[dict]
     runtimes: list[float]        # seconds per grid cell
-
-    def to_csv_text(self) -> str:
-        return rows_csv_text(self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
                         threads: int = 1) -> CounterexampleResult:
     """KS trajectory of the max statistic under heavy-tailed iid panels.
 
-    For each p, compares sqrt(n)|xbar|_inf samples against |Z|_inf draws
+    For each p, compares |S_n|_inf / sqrt(n) samples against |Z|_inf draws
     (Z standard normal in R^p; the innovation law has unit variance by
     construction), and reports the diagnostics p*P(|column sum| >= sqrt(n) u)
     and p*P(|Z_1| >= u) at u = sqrt(2 log p).
@@ -356,6 +353,7 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
     u0; with the uniform body the excess over the Gaussian tail is far too
     small to move the maximum at desk-scale (n, p).
     """
+    from scipy.stats import norm
     if tail_index <= 2:
         raise ValidationError(f"tail index must exceed 2, got {tail_index}")
     law = InnovationLaw.symmetric_pareto(tail_index, body=body)
@@ -366,8 +364,8 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
         u = math.sqrt(2.0 * math.log(p))
 
         def one_rep(r: int, _spec=spec, _cell=rng.derive("ctrex-cell", pi), _u=u):
-            panel = simulate(_spec, n, _cell.derive("ctrex-panel", r))
-            stats = np.abs(math.sqrt(n) * panel.data.mean(axis=0))
+            s = column_sums(_spec, n, _cell.derive("ctrex-panel", r))
+            stats = np.abs(s) / math.sqrt(n)
             return float(np.max(stats)), int(np.sum(stats >= _u))
 
         out = run_indexed(one_rep, R, threads)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1, lambertw
 
 from .errors import NumericalError, ValidationError
 from .rng import RngContract
@@ -47,6 +46,7 @@ def _pareto_survival(u, tail_index):
 
 def _pareto_tail_second_moment(tail_index: float, u0: float) -> float:
     """E[eps^2; |eps| >= u0] for the two-sided power-law tail."""
+    from scipy.special import exp1
     s0 = float(_pareto_survival(u0, tail_index))
     a, t0 = tail_index - 2.0, math.log(u0)
     # integral of u * S(u) du over [u0, inf): in t = log(u) it is the integral
@@ -62,6 +62,7 @@ def _pareto_invert_survival(targets: np.ndarray, tail_index: float, u0: float) -
     t = (2/q) W_0(q / (2 sqrt(s))).  s is clamped to the smallest normal
     float, so that s = 0 still gives a finite u.
     """
+    from scipy.special import lambertw
     s = np.maximum(np.asarray(targets, dtype=float), np.finfo(float).tiny)
     return np.exp((2.0 / tail_index) * lambertw(tail_index / (2.0 * np.sqrt(s))).real)
 
@@ -499,6 +500,26 @@ def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
     lo = np.clip(np.maximum(first_lag, -t), 0, K + 1)
     hi = np.clip(np.minimum(K, n - 1 - t) + 1, 0, K + 1)
     return np.where(hi > lo, ts[lo] - ts[hi], 0.0)
+
+
+def column_sums(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray:
+    """S_n, the column sums of the panel simulate(spec, n, rng) would draw,
+    from the same innovation stream.
+
+    For iid and linear specs the sum is the lag-sum weights applied to the
+    innovations, so no panel is built; it agrees with the panel's sum to
+    rounding.  threshold-ar has no weight form and sums the simulated panel.
+    """
+    if n < 1:
+        raise ValidationError(f"panel length n must be >= 1, got {n}")
+    if spec.family == "threshold-ar":
+        return simulate(spec, n, rng).data.sum(axis=0)
+    s = lag_sum_weights(spec, n, 0) @ _draw_innovations(spec, n, rng).values
+    if spec.h > 0:
+        s = s @ spec.cross_mixer().T
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("column sums contain non-finite values")
+    return s
 
 
 def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Panel:

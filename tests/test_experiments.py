@@ -9,8 +9,9 @@ from hdts.experiments import (ExperimentConfig, counterexample_demo,
                               ks_permutation_pvalue, mc_long_run_sigma,
                               mdep_rate_check, mdep_oracle_norm, rate_experiment,
                               two_sample_ks)
+from hdts.io import rows_csv_text
 from hdts.longrun import true_sigma
-from hdts.model import InnovationLaw, ProcessSpec
+from hdts.model import InnovationLaw, ProcessSpec, simulate
 from hdts.rng import RngContract
 
 RNG = RngContract(70)
@@ -108,6 +109,18 @@ def test_mc_long_run_sigma_approximates_truth():
     assert np.max(np.abs(approx - truth)) < 0.12 * np.max(np.abs(truth))
 
 
+def test_ga_distance_matches_a_panel_reference():
+    # the statistic from the lag-sum weights agrees with the one from the
+    # simulated panels on the same replication streams
+    spec = ProcessSpec("linear", p=6, alpha=1.5, K=40, h=2, rho=0.5)
+    n, R, rng = 120, 30, RngContract(78)
+    res = ga_distance(spec, n, R, rng, n_perm=0)
+    d0 = np.sqrt(np.diag(true_sigma(spec)))
+    ref = np.array([np.max(np.abs(simulate(spec, n, rng.derive("ga-panel", r)).data
+                                  .mean(axis=0)) / d0) * math.sqrt(n) for r in range(R)])
+    assert np.allclose(res.sample_stats, ref, rtol=1e-12, atol=0)
+
+
 def test_ga_distance_threads_do_not_change_results():
     spec = ProcessSpec("linear", p=5, alpha=1.0, K=20, h=0)
     a = ga_distance(spec, 100, 200, RngContract(77), n_perm=0, threads=1)
@@ -149,8 +162,8 @@ def test_experiment_report_csv_is_stable():
     cfg = ExperimentConfig(spec=ProcessSpec("iid", p=4),
                            R=200, B=1000, base_seed=9, n_list=[100],
                            M_list=[1], theta_list=[0.9])
-    a = coverage_experiment(cfg).to_csv_text()
-    b = coverage_experiment(cfg).to_csv_text()
+    a = rows_csv_text(coverage_experiment(cfg).rows)
+    b = rows_csv_text(coverage_experiment(cfg).rows)
     assert a == b
     assert a.splitlines()[0].startswith("n,p,M,theta")
 
@@ -258,19 +271,20 @@ def test_counterexample_guards_and_diagnostics():
                                                         "ecdf_gauss"}
 
 
-@pytest.mark.parametrize("run", [
-    lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 2, rng),
-    lambda rng: counterexample_demo(4.0, 16, [2, 4], 2, rng),
+@pytest.mark.parametrize("run, drawer", [
+    (lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 2, rng),
+     "simulate"),
+    (lambda rng: counterexample_demo(4.0, 16, [2, 4], 2, rng), "column_sums"),
 ], ids=["rate", "counterexample"])
-def test_replication_streams_are_distinct_across_cells(monkeypatch, run):
+def test_replication_streams_are_distinct_across_cells(monkeypatch, run, drawer):
     import hdts.experiments as ex
-    simulate, seen = ex.simulate, []
+    draw, seen = getattr(ex, drawer), []
 
-    def recording_simulate(spec, n, rng):
+    def recording_draw(spec, n, rng):
         seen.append(rng.stream_id)
-        return simulate(spec, n, rng)
+        return draw(spec, n, rng)
 
-    monkeypatch.setattr(ex, "simulate", recording_simulate)
+    monkeypatch.setattr(ex, drawer, recording_draw)
     # replication 10**6 of one cell and replication 0 of the next must differ
     monkeypatch.setattr(ex, "run_indexed",
                         lambda fn, count, threads=1: [fn(0), fn(10 ** 6)])
@@ -285,4 +299,4 @@ def test_report_csv_text_equals_written_rows(tmp_path):
             {"n": np.int64(200), "kind": "ga", "ks": np.float64(1 / 3), "pvalue": 1e-300}]
     report = ExperimentReport(rows=rows, runtimes=[])
     io.write_rows_csv(tmp_path / "r.csv", rows)
-    assert (tmp_path / "r.csv").read_bytes() == report.to_csv_text().encode()
+    assert (tmp_path / "r.csv").read_bytes() == io.rows_csv_text(report.rows).encode()

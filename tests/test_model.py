@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdts.errors import ValidationError
-from hdts.model import (InnovationLaw, ProcessSpec, lag_sum_weights,
+from hdts.model import (InnovationLaw, ProcessSpec, column_sums, lag_sum_weights,
                         m_dependent_approx, simulate, simulate_coupled)
 from hdts.rng import RngContract
 from hdts.util import fit_loglog_slope
@@ -165,6 +165,39 @@ def test_lag_sum_weights_match_the_panel_path(family, K, n, p, h, alpha, rho, se
     tol = 1e-12 * np.max(np.sum(np.abs(panel.data), axis=0))
     assert np.max(np.abs((lag_sum_weights(spec, n, 0) @ eps) @ B.T - s_full)) <= tol
     assert np.max(np.abs((lag_sum_weights(spec, n, m + 1) @ eps) @ B.T - gap)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["iid", "linear", "threshold-ar"]), K=st.integers(0, 400),
+       n=st.integers(1, 600), p=st.integers(1, 4), h=st.integers(0, 2),
+       alpha=st.floats(0.0, 3.0), rho=st.floats(0.0, 0.95),
+       theta=st.floats(-0.95, 0.95), burn_in=st.integers(0, 64),
+       law=st.sampled_from([InnovationLaw.gaussian(), InnovationLaw.student_t(3.0),
+                            InnovationLaw.symmetric_pareto(4.0, body="shell")]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(family="linear", K=30, n=50, p=3, h=1, alpha=1.0, rho=0.5, theta=0.0,
+         burn_in=0, law=InnovationLaw.gaussian(), seed=1)
+@example(family="threshold-ar", K=0, n=40, p=2, h=0, alpha=1.0, rho=0.0, theta=0.6,
+         burn_in=16, law=InnovationLaw.student_t(3.0), seed=2)
+def test_column_sums_match_the_simulated_panel(family, K, n, p, h, alpha, rho, theta,
+                                               burn_in, law, seed):
+    spec = ProcessSpec(family, p=p, innovation=law, alpha=alpha, K=K, h=h, rho=rho,
+                       theta1=theta, theta2=-theta / 2, burn_in=burn_in)
+    panel = simulate(spec, n, RngContract(seed))
+    s = column_sums(spec, n, RngContract(seed))
+    assert s.shape == (p,)
+    if family == "threshold-ar":
+        # no weight form: the sum of the very panel, bit for bit
+        assert np.array_equal(s, panel.data.sum(axis=0))
+    else:
+        tol = 1e-12 * np.max(np.sum(np.abs(panel.data), axis=0))
+        assert np.max(np.abs(s - panel.data.sum(axis=0))) <= tol
+
+
+@pytest.mark.parametrize("family", ["iid", "linear", "threshold-ar"])
+def test_column_sums_reject_an_empty_panel(family):
+    with pytest.raises(ValidationError, match="n must be >= 1, got 0"):
+        column_sums(ProcessSpec(family, p=2), 0, RNG)
 
 
 @settings(max_examples=30, deadline=None)
