@@ -4,9 +4,10 @@ Subcommands: simulate, estimate, ci, covtest, experiment,
 check-conditions.  Global flags --seed / --threads / --print-defaults.
 Only simulate, experiment and check-conditions read a config; estimate,
 ci and covtest take their settings from flags.  Exit codes:
-0 success, 2 validation error, 3 numerical failure, with a JSON error
-body on stderr.  Results are bit-identical to in-process library calls
-with the same seed, and independent of --threads.
+0 success, 2 validation error (a size too large to allocate included),
+3 numerical failure, with a JSON error body on stderr.  Results are
+bit-identical to in-process library calls with the same seed, and
+independent of --threads.
 """
 
 from __future__ import annotations
@@ -484,7 +485,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": "numerical"}) + "\n")
         return 3
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": "validation"}) + "\n")
         return 2
     except HdtsError as exc:

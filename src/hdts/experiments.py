@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .gboot import psd_sqrt, simultaneous_ci
 from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
 from .depmeasure import closed_form_profile
-from .model import (InnovationLaw, ProcessSpec, _draw_innovations, column_sums,
+from .model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
                     gaussian_abs_moment_root, lag_sum_weights, simulate)
 from .rng import RngContract
 from .util import fit_loglog_slope, run_indexed
@@ -304,11 +304,10 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
     oracle = np.array([np.max(mdep_oracle_norm(spec, n, m, q)) for m in m_grid]) \
         / math.sqrt(n)
     W = np.stack([lag_sum_weights(spec, n, m + 1) for m in m_grid])   # (|grid|, n+K)
-    B = spec.cross_mixer()
 
     def one_rep(r: int) -> np.ndarray:
         eps = _draw_innovations(spec, n, rng.derive("mdep-panel", r)).values
-        return (W @ eps) @ B.T
+        return _lag_sums(spec, eps, W, n)[0]
 
     diffs = np.stack(run_indexed(one_rep, R, threads))       # (R, |grid|, p)
     mom = np.mean(np.abs(diffs) ** q, axis=0)

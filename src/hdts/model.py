@@ -6,7 +6,10 @@ Three families are supported:
                       coefficients A_k = (k+1)^{-(alpha+1)} * B, where B is the
                       banded cross-sectional mixer B[j,l] = rho^{|j-l|} 1{|j-l|<=h}.
                       The lag cutoff K makes simulation exact: presample
-                      innovations are drawn explicitly.
+                      innovations are drawn explicitly.  Every sum of this
+                      family (panel rows, column sums, m-dependent
+                      approximations) is one windowed lag-weight product of
+                      the innovations, followed by B.
 * ``iid``          -- rows are independent draws of the innovation law: the
                       linear process at K = 0 and h = 0, which is how an iid
                       spec is stored, so it runs the linear code throughout.
@@ -347,14 +350,6 @@ class ProcessSpec:
         B = np.where(dist <= self.h, self.rho ** dist, 0.0)
         return B
 
-    def coefficient(self, k: int) -> np.ndarray:
-        """Full coefficient matrix A_k."""
-        if self.family != "linear":
-            raise ValidationError("coefficient matrices exist only for the linear family")
-        if not 0 <= k <= self.K:
-            raise ValidationError(f"lag {k} outside 0..{self.K}")
-        return self.lag_weights()[k] * self.cross_mixer()
-
 
 # ---------------------------------------------------------------------------
 # Panels
@@ -413,18 +408,26 @@ class Panel:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _linear_filter(eps: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """Exact direct convolution sum_k c[k] * eps at lag k, output rows 0..n-1.
+def _lag_sums(spec: ProcessSpec, eps: np.ndarray, g: np.ndarray, stride: int) -> np.ndarray:
+    """The one lag sum of the iid and linear families: g @ window, then @ B.T.
 
-    eps covers times -K..n-1 (rows 0..n+K-1).  Accumulation order over k is
-    fixed, so identical inputs give bit-identical outputs and inputs that
-    agree on a window give identical results there.
+    Window r is rows r*stride .. r*stride + L - 1 of eps, L = g.shape[-1],
+    taken as a read-only strided view; the result has shape
+    (windows, *g.shape[:-1], p).  The reversed lag weights c[::-1] at
+    stride 1 give the panel rows X_t; lag-sum weights of length n + K at
+    stride n give the single window S_n, and g may stack several weight
+    rows.  g must be contiguous: a negative-stride view makes matmul leave
+    BLAS.  Each output row reads only its own window, so inputs that agree
+    on a window give bit-identical rows there.
     """
-    K = c.shape[0] - 1
-    out = c[0] * eps[K:K + n]
-    for k in range(1, K + 1):
-        out += c[k] * eps[K - k:K - k + n]
-    return out
+    (T, p), (row, col) = eps.shape, eps.strides
+    L = g.shape[-1]
+    windows = np.lib.stride_tricks.as_strided(
+        eps, ((T - L) // stride + 1, L, p), (stride * row, row, col), writeable=False)
+    x = g @ windows
+    if spec.h > 0:
+        x = x @ spec.cross_mixer().T
+    return x
 
 
 def _tar_path(eps: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
@@ -448,10 +451,8 @@ def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> Innovation
 def _build(spec: ProcessSpec, n: int, innov: InnovationRecord) -> np.ndarray:
     if spec.family == "threshold-ar":
         return _tar_path(innov.values, spec.theta1, spec.theta2)[spec.burn_in:]
-    x = _linear_filter(innov.values, spec.lag_weights(), n)
-    if spec.h > 0:
-        x = x @ spec.cross_mixer().T
-    return x
+    # c reversed, not lag_sum_weights(spec, 1, 0): equal up to rounding, and cheaper
+    return _lag_sums(spec, innov.values, spec.lag_weights()[::-1].copy(), 1)
 
 
 def simulate(spec: ProcessSpec, n: int, rng: RngContract) -> Panel:
@@ -514,9 +515,8 @@ def column_sums(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
     if spec.family == "threshold-ar":
         return simulate(spec, n, rng).data.sum(axis=0)
-    s = lag_sum_weights(spec, n, 0) @ _draw_innovations(spec, n, rng).values
-    if spec.h > 0:
-        s = s @ spec.cross_mixer().T
+    s = _lag_sums(spec, _draw_innovations(spec, n, rng).values,
+                  lag_sum_weights(spec, n, 0), n)[0]
     if not np.all(np.isfinite(s)):
         raise NumericalError("column sums contain non-finite values")
     return s
@@ -535,10 +535,7 @@ def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Pa
     if innov is None:
         raise ValidationError("m_dependent_approx requires the panel's innovation record")
     n = innov.n
-    c = spec.lag_weights()[:min(m, spec.K) + 1]
+    g = spec.lag_weights()[:min(m, spec.K) + 1][::-1].copy()
     # reuse rows covering times -min(m,K)..n-1 of the record
-    need = innov.values[innov.values.shape[0] - n - (c.shape[0] - 1):]
-    data = _linear_filter(need, c, n)
-    if spec.h > 0:
-        data = data @ spec.cross_mixer().T
-    return Panel(data=data, innovations=innov)
+    need = innov.values[innov.values.shape[0] - n - (g.shape[0] - 1):]
+    return Panel(data=_lag_sums(spec, need, g, 1), innovations=innov)

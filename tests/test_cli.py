@@ -186,6 +186,17 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unallocatable_size_exit_code(tmp_path, capsys):
+    # (n + K) x p innovations at this n need about 4 TiB, which numpy refuses
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(DEFAULT_CONFIG.replace("n = 1000", "n = 99999999999"))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    body = json.loads(capsys.readouterr().err)
+    assert rc == 2 and body["type"] == "validation"
+    assert "allocate" in body["error"]
+    assert not list(tmp_path.glob("x*"))
+
+
 def _bad_csv_exit(tmp_path, capsys, argv, where):
     rc = main(argv + ["--out", str(tmp_path / "o")])
     body = json.loads(capsys.readouterr().err)

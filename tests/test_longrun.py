@@ -125,7 +125,7 @@ def test_sigma_M_examples_and_brute_force():
                                             + autocovariance(spec, 1).T)
     assert np.allclose(got, want)
     # brute force from the coefficient matrices
-    A = [spec.coefficient(0), spec.coefficient(1)]
+    A = [spec.lag_weights()[k] * spec.cross_mixer() for k in (0, 1)]
     gamma = {}
     for k in (-1, 0, 1):
         g = np.zeros((2, 2))

@@ -83,6 +83,51 @@ def test_linear_coupling_supported_on_lag_window():
     assert np.all(diff[3:] == 0.0)       # bit-exact agreement past the window
 
 
+_LINEAR_SHAPES = dict(family=st.sampled_from(["iid", "linear"]), K=st.integers(0, 400),
+                      n=st.integers(1, 600), p=st.integers(1, 5), h=st.integers(0, 3),
+                      alpha=st.floats(0.0, 3.0), rho=st.floats(0.0, 0.95),
+                      seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_LINEAR_SHAPES)
+@example(family="linear", K=3, n=40, p=3, h=1, alpha=1.0, rho=0.5, seed=1)
+def test_linear_coupling_agrees_bit_for_bit_past_the_lag_window(family, K, n, p, h,
+                                                                alpha, rho, seed):
+    # each panel row reads only its own K+1 innovations, so a row at a time
+    # past K, which never sees eps_0, is the same bits in both panels
+    spec = ProcessSpec(family, p=p, alpha=alpha, K=K, h=h, rho=rho)
+    x, xc = simulate_coupled(spec, n, RngContract(seed))
+    assert np.any(x.data[0] != xc.data[0])
+    assert np.array_equal(_bits(x.data[spec.K + 1:]), _bits(xc.data[spec.K + 1:]))
+
+
+def _direct_convolution(spec, eps, n):
+    """X_t = sum_k c_k eps_{t-k}, then the mixer, for eps at times -K..n-1."""
+    c, K = spec.lag_weights(), spec.K
+    x = np.zeros((n, spec.p))
+    for k in range(K + 1):
+        x += c[k] * eps[K - k:K - k + n]
+    return x @ spec.cross_mixer().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_LINEAR_SHAPES)
+@example(family="linear", K=200, n=300, p=4, h=2, alpha=0.5, rho=0.7, seed=3)
+def test_linear_panel_matches_a_direct_convolution(family, K, n, p, h, alpha, rho, seed):
+    spec = ProcessSpec(family, p=p, alpha=alpha, K=K, h=h, rho=rho)
+    panel = simulate(spec, n, RngContract(seed))
+    eps = panel.innovations.values
+    scale = (np.sum(spec.lag_weights()) * np.max(np.abs(eps))
+             * np.max(np.sum(np.abs(spec.cross_mixer()), axis=1)))
+    ref = _direct_convolution(spec, eps, n)
+    assert np.max(np.abs(panel.data - ref)) <= 1e-13 * scale
+
+
 def test_threshold_ar_coupling_decays_geometrically():
     theta = 0.5
     spec = ProcessSpec("threshold-ar", p=2, theta1=theta, theta2=theta, burn_in=64)
@@ -109,7 +154,7 @@ def test_mdep_identity_cases():
     assert np.array_equal(beyond.data, panel.data)
 
     zero = m_dependent_approx(spec, panel.innovations, 0)
-    manual = panel.innovations.values[4:] @ spec.coefficient(0).T
+    manual = panel.innovations.values[4:] @ (spec.lag_weights()[0] * spec.cross_mixer()).T
     assert np.allclose(zero.data, manual, rtol=0, atol=1e-15)
 
     iid_spec = ProcessSpec("iid", p=3)
@@ -277,15 +322,20 @@ def test_symmetric_pareto_tail_matches_law(body):
 
 @pytest.mark.parametrize("body", ["uniform", "shell"])
 def test_symmetric_pareto_unit_variance_by_quadrature(body):
-    # integrate the sampler's own inverse CDF; independent of the
-    # integration-by-parts route used to size the body
+    # integrate the sampler's own inverse CDF Q over the tail mass v in
+    # (0, S(u0)]; independent of the integration-by-parts route used to
+    # size the body.  In s = -log v the whole tail, out to v = 0, is one
+    # convergent integral of Q(e^-s)^2 e^-s over [-log S(u0), inf).
     from scipy import integrate as spi
     from hdts.model import _pareto_invert_survival, _pareto_survival
     law = InnovationLaw.symmetric_pareto(2.5, body=body)
     s0 = float(_pareto_survival(law.u0, law.tail_index))
-    tail2, _ = spi.quad(
-        lambda v: _pareto_invert_survival(np.array([v]), law.tail_index, law.u0)[0] ** 2,
-        1e-14, s0, limit=200)
+
+    def tail_integrand(s):
+        v = math.exp(-s)
+        return _pareto_invert_survival(np.array([v]), law.tail_index, law.u0)[0] ** 2 * v
+
+    tail2, _ = spi.quad(tail_integrand, -math.log(s0), np.inf, limit=200)
     if body == "uniform":
         a = law.body_halfwidth()
         body2 = (1.0 - 2.0 * s0) * a ** 2 / 3.0
