@@ -176,11 +176,10 @@ def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
         spec = replace(config.spec, p=p)
         t0 = time.perf_counter()
 
-        def one_rep(r: int, _spec=spec, _n=n, _M=M, _theta=theta, _c=ci_idx):
-            cell_rng = base.derive("coverage-cell", _c)
-            panel = simulate(_spec, _n, cell_rng.derive("panel", r))
-            report = simultaneous_ci(panel, _theta, _M, config.B,
-                                     cell_rng.derive("boot", r))
+        def one_rep(r: int, _spec=spec, _n=n, _M=M, _theta=theta,
+                    _cell=base.derive("coverage-cell", ci_idx)):
+            panel = simulate(_spec, _n, _cell.derive("panel", r))
+            report = simultaneous_ci(panel, _theta, _M, config.B, _cell.derive("boot", r))
             return report.covers(np.zeros(_spec.p)), float(np.median(report.half_widths()))
 
         out = run_indexed(one_rep, config.R, config.threads)

@@ -16,6 +16,10 @@ Three families are supported:
 * ``threshold-ar`` -- coordinatewise X_i = theta1*max(X_{i-1},0)
                       + theta2*min(X_{i-1},0) + eps_i, geometrically contracting
                       when |theta1| v |theta2| < 1; a burn-in prefix is discarded.
+                      The path is computed in overlapping time segments that
+                      step together; each is checked bit for bit against its
+                      predecessor and re-run from the exact state where it
+                      differs, so it equals the plain step-by-step loop.
 
 Time convention: panel row r holds the observation at time r, r = 0..n-1.
 Couplings replace the innovation at time 0.
@@ -319,8 +323,9 @@ class ProcessSpec:
             object.__setattr__(self, "K", 0)
             object.__setattr__(self, "h", 0)
         if self.family == "linear":
-            if self.alpha < 0:
-                raise ValidationError(f"decay exponent alpha must be >= 0, got {self.alpha}")
+            if not 0.0 <= self.alpha < math.inf:
+                raise ValidationError(
+                    f"decay exponent alpha must be finite and >= 0, got {self.alpha}")
             if self.K < 0:
                 raise ValidationError(f"lag cutoff K must be >= 0, got {self.K}")
             if self.h < 0:
@@ -328,7 +333,7 @@ class ProcessSpec:
             if not 0.0 <= self.rho < 1.0:
                 raise ValidationError(f"cross decay rho must lie in [0, 1), got {self.rho}")
         if self.family == "threshold-ar":
-            if max(abs(self.theta1), abs(self.theta2)) >= 1.0:
+            if not (abs(self.theta1) < 1.0 and abs(self.theta2) < 1.0):
                 raise ValidationError(
                     "threshold-ar requires |theta1| v |theta2| < 1 "
                     f"(got theta1={self.theta1}, theta2={self.theta2})")
@@ -430,15 +435,69 @@ def _lag_sums(spec: ProcessSpec, eps: np.ndarray, g: np.ndarray, stride: int) ->
     return x
 
 
-def _tar_path(eps: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
-    """Iterate the threshold recursion over all rows of eps, from zero."""
-    T, p = eps.shape
-    out = np.empty((T, p))
-    x = np.zeros(p)
-    for t in range(T):
+def _tar_steps(x: np.ndarray, eps: np.ndarray, out: np.ndarray,
+               theta1: float, theta2: float) -> np.ndarray:
+    """The one threshold step loop: from state x, x <- f(x) + eps[t] and
+    out[t] = x for every t; returns the last state.  x may carry any
+    trailing shape (one path, or a stack of segments)."""
+    for t in range(eps.shape[0]):
         x = theta1 * np.maximum(x, 0.0) + theta2 * np.minimum(x, 0.0) + eps[t]
         out[t] = x
-    return out
+    return x
+
+
+def _tar_path(eps: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
+    """Iterate the threshold recursion over all rows of eps, from zero.
+
+    The result is the plain loop's, bit for bit, computed in G overlapping
+    time segments of 2L steps that advance together as one (G, p) state.
+    With rho = |theta1| v |theta2|, two paths of the map draw together by
+    at least the factor rho per step, so L = ceil(64 / -log2 rho) steps
+    shrink any start-up error below 2^-64 of the state.
+
+    * Segments.  Segment k starts from the zero state at time (k-1)L and
+      yields times kL .. (k+1)L - 1; segment 0 runs its first L steps on
+      zero padding, which leaves the zero state as it is, so it is exact.
+    * Check.  The recursion is deterministic, so once segment k holds the
+      bits of segment k-1 at time kL - 1 it is exact from then on.  The
+      check runs in order k = 1 .. G-1, on the bit patterns.
+    * Repair.  Coordinates of segment k that did not coalesce are re-run
+      over its L output steps from the exact state of segment k-1.
+
+    Correctness never depends on L, only the speed does: a coordinate
+    that never coalesces costs the plain loop's steps.  For G < 3, where
+    T <= 2L and segments would take no fewer steps, the whole path runs
+    as one.
+    """
+    T, p = eps.shape
+    rho = max(abs(theta1), abs(theta2))
+    L = 1 if rho == 0.0 else math.ceil(64.0 / -math.log2(rho))
+    G = -(-T // L)
+    if G < 3:
+        out = np.empty((T, p))
+        _tar_steps(np.zeros(p), eps, out, theta1, theta2)
+        return out
+    # padded row t + L holds eps_t; the tail pads the last segment to length 2L
+    padded = np.zeros(((G + 1) * L, p))
+    padded[L:L + T] = eps
+    row, col = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (2 * L, G, p), (row, L * row, col), writeable=False)
+    out = np.empty((G * L, p))
+    # step s of the second half writes row kL + s of every segment k; the
+    # first half writes the same rows, which the second half overwrites
+    out_steps = out.reshape(G, L, p).swapaxes(0, 1)
+    first = _tar_steps(np.zeros((G, p)), windows[:L], out_steps, theta1, theta2)
+    _tar_steps(first, windows[L:], out_steps, theta1, theta2)
+    for k in range(1, G):
+        exact = out[k * L - 1]
+        bad = np.flatnonzero(first[k].view(np.uint64) != exact.view(np.uint64))
+        if bad.size:
+            rows = slice(k * L, (k + 1) * L)
+            fixed = np.empty((L, bad.size))
+            _tar_steps(exact[bad], padded[L:][rows, bad], fixed, theta1, theta2)
+            out[rows, bad] = fixed
+    return out[:T]
 
 
 def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> InnovationRecord:

@@ -33,12 +33,6 @@ def fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def count_inversions(values) -> int:
-    """Number of adjacent pairs violating a nondecreasing trend."""
-    v = np.asarray(values, dtype=float)
-    return int(np.sum(np.diff(v) < 0))
-
-
 def sha256_file(path) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()

@@ -23,7 +23,6 @@ from hdts.longrun import (LongRunEstimate, plan_blocks, sigma_M_target,
                           sigma_hat, sigma_tilde)
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
-from hdts.util import count_inversions
 
 THREADS = 2
 
@@ -31,6 +30,11 @@ THREADS = 2
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def count_inversions(values) -> int:
+    """Number of adjacent pairs violating a nondecreasing trend."""
+    return int(np.sum(np.diff(np.asarray(values, dtype=float)) < 0))
 
 
 def test_criterion_01_coverage():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,21 @@ def test_unallocatable_size_exit_code(tmp_path, capsys):
     body = json.loads(capsys.readouterr().err)
     assert rc == 2 and body["type"] == "validation"
     assert "allocate" in body["error"]
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("family,key,value", [
+    ("threshold-ar", "theta1", "nan"), ("threshold-ar", "theta2", "nan"),
+    ("linear", "alpha", "nan"), ("linear", "alpha", "inf"),
+])
+def test_non_finite_process_parameter_exit_code(tmp_path, capsys, family, key, value):
+    cfg = tmp_path / "cfg.ini"
+    text = DEFAULT_CONFIG.replace("family = linear", f"family = {family}")
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    body = json.loads(capsys.readouterr().err)
+    assert rc == 2 and body["type"] == "validation"
+    assert key in body["error"]
     assert not list(tmp_path.glob("x*"))
 
 

@@ -141,6 +141,75 @@ def test_threshold_ar_coupling_decays_geometrically():
     assert abs(slope - math.log(theta)) < 0.1
 
 
+def _plain_tar_path(eps, theta1, theta2):
+    """The threshold recursion stepped one time at a time from the zero state."""
+    out = np.empty_like(eps)
+    x = np.zeros(eps.shape[1])
+    for t in range(eps.shape[0]):
+        x = theta1 * np.maximum(x, 0.0) + theta2 * np.minimum(x, 0.0) + eps[t]
+        out[t] = x
+    return out
+
+
+# the shell-pareto law is 0 with probability 0.98, so its zero runs make
+# segments that start from zero miss the true state and need repair
+_THETA = st.one_of(st.just(0.0), st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True))
+_TAR_SHAPES = dict(
+    theta1=_THETA, theta2=_THETA, p=st.integers(1, 5),
+    law=st.sampled_from([InnovationLaw.gaussian(), InnovationLaw.student_t(3.0),
+                         InnovationLaw.symmetric_pareto(4.0, body="shell")]),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4000), burn_in=st.integers(0, 1000), **_TAR_SHAPES)
+@example(n=500, burn_in=1024, theta1=0.3, theta2=0.3, p=5,
+         law=InnovationLaw.gaussian(), seed=1)                          # coverage-tar shape
+@example(n=300, burn_in=10, theta1=0.0, theta2=0.0, p=3,
+         law=InnovationLaw.student_t(3.0), seed=2)                      # rho = 0: L = 1
+@example(n=1500, burn_in=100, theta1=0.5, theta2=-0.3, p=3,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # repairs
+@example(n=2000, burn_in=0, theta1=0.98, theta2=-0.5, p=2,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=3)  # G < 3
+def test_threshold_ar_path_matches_a_plain_step_loop(n, burn_in, theta1, theta2, p, law,
+                                                     seed):
+    spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
+                       burn_in=burn_in)
+    panel = simulate(spec, n, RngContract(seed))
+    ref = _plain_tar_path(panel.innovations.values, theta1, theta2)[burn_in:]
+    assert np.array_equal(_bits(panel.data), _bits(ref))
+
+
+@pytest.mark.parametrize("theta1,theta2,T", [(0.3, 0.3, 600), (0.9, -0.5, 3000),
+                                             (-0.6, 0.2, 1200)])
+def test_threshold_ar_path_repairs_every_segment_after_an_impulse(theta1, theta2, T):
+    # a unit impulse, then zeros: every segment but the first starts from zero
+    # inside the zero run and stays at zero, while the true path decays (without
+    # reaching zero at these T), so every later segment is re-run
+    from hdts.model import _tar_path
+    eps = np.zeros((T, 3))
+    eps[0] = [1.0, -1.0, 0.5]
+    assert np.array_equal(_bits(_tar_path(eps, theta1, theta2)),
+                          _bits(_plain_tar_path(eps, theta1, theta2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), **_TAR_SHAPES)
+@example(n=600, theta1=0.5, theta2=-0.3, p=4,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=4)
+def test_threshold_ar_coupling_agrees_bit_for_bit_on_a_suffix(n, theta1, theta2, p, law,
+                                                              seed):
+    # both panels share every innovation after time 0, so a coordinate whose
+    # two paths hold the same bits at one time holds them at every later time
+    spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
+                       burn_in=0)
+    x, xc = simulate_coupled(spec, n, RngContract(seed))
+    same = _bits(x.data) == _bits(xc.data)
+    assert np.all(same[1:] >= same[:-1])
+    eps0, eps0_c = x.innovations.values[0], xc.innovations.values[0]
+    assert np.array_equal(same[0], _bits(eps0) == _bits(eps0_c))
+
+
 # ---------------------------------------------------------------------------
 # m-dependent approximation
 # ---------------------------------------------------------------------------
