@@ -18,8 +18,7 @@ from .longrun import (BlockPlan, LongRunEstimate, autocovariance,
 from .gboot import (BootstrapQuantile, CiReport, bootstrap_quantile, psd_sqrt,
                     simultaneous_ci)
 from .covinf import (CovPanel, CovTestResult, build_cov_panel, cov_dep_norm_bound,
-                     cov_simultaneous_test, flat_to_pair, mc_cov_norms, n_pairs,
-                     pair_indices, pair_to_flat)
+                     cov_simultaneous_test, mc_cov_norms, n_pairs, pair_indices)
 from .experiments import (CounterexampleResult, ExperimentConfig,
                           ExperimentReport, GaDistanceResult, MdepResult,
                           RateResult, counterexample_demo, coverage_experiment,

@@ -231,9 +231,9 @@ def cmd_estimate(args) -> int:
         (csv_path, io.write_matrix_csv, est.sigma),
         (_beside(base, ".sigma.bin"), io.write_array_binary, est.sigma),
         (_beside(base, ".sigma.json"), io.write_json,
-         {"kind": est.kind, "n": plan.n, "M": plan.M, "w": plan.w,
+         {"kind": "tilde", "n": plan.n, "M": plan.M, "w": plan.w,
           "unused": plan.unused})])
-    print(f"wrote {csv_path} (p={est.p}, M={plan.M}, w={plan.w})")
+    print(f"wrote {csv_path} (p={panel.p}, M={plan.M}, w={plan.w})")
     return 0
 
 
@@ -261,11 +261,10 @@ def cmd_covtest(args) -> int:
     res = cov_simultaneous_test(panel, args.theta, _opt_M(args.M), args.B,
                                 RngContract(args.seed), null_gamma=null_gamma)
     js, ks = pair_indices(panel.p)
-    flags = (res.pair_stats > res.threshold).astype(int)
     rows = [{"j": j, "k": k, "gamma_hat": g, "stat": s,
              "threshold": res.threshold, "flag": flag}
             for j, k, g, s, flag in zip(js + 1, ks + 1, res.gamma_hat,
-                                        res.pair_stats, flags)]
+                                        res.pair_stats, res.flags.astype(int))]
     base = Path(args.out or "covtest")
     csv_path = _beside(base, ".covtest.csv")
     _write_outputs(args, "covtest", _beside(base, ".manifest.json"), [

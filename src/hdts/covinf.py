@@ -1,12 +1,18 @@
-"""Simultaneous inference for covariance entries via the centered product
+"""Simultaneous inference for covariance entries via the centred product
 process X_ij * X_ik - gamma_jk.
 
 Pairs (j, k) with j <= k are laid out in upper-triangular order, giving
 p(p+1)/2 columns; the duplicated lower triangle would add nothing to a
-maximum statistic.  The product panel is centered at the sample covariance
-(the population value being unknown in practice).  The test never builds
-that n x p(p+1)/2 panel: its block sums are upper triangles of per-block
-Gram matrices, and `build_cov_panel` is kept as the reference.
+maximum statistic.  The test is the mean-vector pipeline run on the
+products: their block sums, centred at their mean, give the same centred
+long-run estimate (LongRunEstimate.centred) that sigma_tilde builds from a
+panel, and the multiplier bootstrap runs on it unchanged.  What is
+specific to pairs stays here: the layout, the block sums as upper
+triangles of per-block Gram matrices (the n x p(p+1)/2 product panel is
+never built; `build_cov_panel` is kept as the reference), the bound
+|X_ij X_ik| <= max|X_j| max|X_k| on the product columns, and the test
+statistic.  Coupled Monte Carlo norms of the products come from
+depmeasure's coupled sampler.
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depmeasure import (AuxNorms, DependenceProfile, adjusted_norm, adjusted_norms,
-                         _SE_RESAMPLES, _check_mc_order, _tail_sums)
+from .depmeasure import (AuxNorms, DependenceProfile, _coupled_absdiff, _tail_sums,
+                         adjusted_norm, adjusted_norms)
 from .errors import ValidationError
 from .gboot import bootstrap_quantile, check_symmetric
-from .longrun import BlockPlan, LongRunEstimate, _abs_max, plan_blocks
-from .model import Panel, ProcessSpec, simulate_coupled
+from .longrun import BlockPlan, LongRunEstimate, plan_blocks
+from .model import Panel, ProcessSpec
 from .rng import RngContract
 
 # cov_simultaneous_test refuses more coordinate pairs than this (p <= 99)
@@ -35,20 +41,6 @@ def n_pairs(p: int) -> int:
 def pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     """(j, k) arrays of the upper-triangular layout, flat index order."""
     return np.triu_indices(p)
-
-
-def pair_to_flat(j: int, k: int, p: int) -> int:
-    """Flat index of the pair (j, k), 0-based, j <= k."""
-    if not 0 <= j <= k < p:
-        raise ValidationError(f"pair ({j},{k}) outside the upper triangle of p={p}")
-    return j * p - j * (j - 1) // 2 + (k - j)
-
-
-def flat_to_pair(a: int, p: int) -> tuple[int, int]:
-    js, ks = pair_indices(p)
-    if not 0 <= a < js.shape[0]:
-        raise ValidationError(f"flat index {a} outside 0..{js.shape[0] - 1}")
-    return int(js[a]), int(ks[a])
 
 
 @dataclass(frozen=True)
@@ -152,28 +144,17 @@ def mc_cov_norms(spec: ProcessSpec, q: float, alpha: float, R: int,
     lag horizon (truncation only lowers the estimate, so comparisons
     against upper bounds stay valid).
     """
-    if R < 100:
-        raise ValidationError(f"need R >= 100 replications, got {R}")
-    _check_mc_order(spec, q)
-    q2 = q / 2.0
-    n = lags + 1
     js, ks = pair_indices(spec.p)
-    m = js.shape[0]
-    absdiff = np.empty((R, n, m))
-    for r in range(R):
-        x, xc = simulate_coupled(spec, n, rng.derive("mc-cov", r))
-        prod = x.data[:, js] * x.data[:, ks]
-        prod_c = xc.data[:, js] * xc.data[:, ks]
-        absdiff[r] = np.abs(prod - prod_c)
+    absdiff, weights = _coupled_absdiff(spec, q, R, rng, "mc-cov", lags,
+                                        lambda x: x[:, js] * x[:, ks])
+    q2 = q / 2.0
 
     def norm_from_weights(w: np.ndarray) -> np.ndarray:
-        mom = (w @ absdiff.reshape(R, -1) ** q2).reshape(-1, n, m)
+        mom = (w @ absdiff.reshape(R, -1) ** q2).reshape(-1, *absdiff.shape[1:])
         phi = np.clip(mom, 0.0, None) ** (1.0 / q2)
         return np.array([adjusted_norms(_tail_sums(phi_b), alpha) for phi_b in phi])
 
     norms = norm_from_weights(np.full((1, R), 1.0 / R))[0]
-    bgen = rng.derive("mc-cov-boot").generator()
-    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=_SE_RESAMPLES) / R
     boot = norm_from_weights(weights)
     return norms, boot.std(axis=0, ddof=1)
 
@@ -190,9 +171,8 @@ class CovTestResult:
     threshold: float             # bootstrap quantile chi
     theta: float
     gamma_hat: np.ndarray
-    tau: np.ndarray
     pair_stats: np.ndarray
-    flagged: np.ndarray          # (count, 2) array of flagged (j, k) pairs
+    flags: np.ndarray            # per pair: pair_stats > threshold
     n: int
     M: int
     w: int
@@ -208,9 +188,9 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
                           ) -> CovTestResult:
     """Simultaneous test of all covariance entries at level 1 - theta.
 
-    Runs the mean-subtracted batched estimator and the multiplier bootstrap
-    on the product panel, from its block sums (see product_block_sums);
-    tau_a is taken from the diagonal of that estimate.  A given null_gamma
+    Runs the centred batched estimator and the multiplier bootstrap on the
+    product process, from its block sums (see product_block_sums); tau_a
+    is the square root of that estimate's diagonal.  A given null_gamma
     is a symmetric p x p matrix (psd_sqrt's tolerance); the default null
     has zero off-diagonals and leaves the variances untested (diagonal
     entries set to their sample values).
@@ -236,15 +216,10 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
         null_flat = null_gamma[js, ks]
 
     # |X_ij X_ik| <= max|X_j| max|X_k| bounds the product columns
-    abs_max = _abs_max(panel, plan)
-    est = LongRunEstimate(kind="tilde", plan=plan, block_sums=Y - Y.mean(axis=0),
-                          abs_max=abs_max[js] * abs_max[ks])
+    abs_max = np.max(np.abs(panel.data[:plan.used]), axis=0)
+    est = LongRunEstimate.centred(plan, Y, abs_max[js] * abs_max[ks])
     bq = bootstrap_quantile(est, theta, B, rng)
-    tau = est.diag_scale
-    pair_stats = math.sqrt(panel.n) * np.abs(gamma_hat - null_flat) / tau
-    statistic = float(np.max(pair_stats))
-    mask = pair_stats > bq.chi
-    flagged = np.column_stack([js[mask], ks[mask]])
-    return CovTestResult(statistic=statistic, threshold=bq.chi, theta=theta,
-                         gamma_hat=gamma_hat, tau=tau, pair_stats=pair_stats,
-                         flagged=flagged, n=panel.n, M=plan.M, w=plan.w, B=B)
+    pair_stats = math.sqrt(panel.n) * np.abs(gamma_hat - null_flat) / est.diag_scale
+    return CovTestResult(statistic=float(np.max(pair_stats)), threshold=bq.chi,
+                         theta=theta, gamma_hat=gamma_hat, pair_stats=pair_stats,
+                         flags=pair_stats > bq.chi, n=panel.n, M=plan.M, w=plan.w, B=B)

@@ -316,6 +316,29 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
 # Monte Carlo profiles
 # ---------------------------------------------------------------------------
 
+def _coupled_absdiff(spec: ProcessSpec, q: float, R: int, rng: RngContract,
+                     tag: str, lags: int, f=lambda x: x) -> tuple[np.ndarray, np.ndarray]:
+    """|f(X) - f(X')| over R coupled paths of lags + 1 steps, shape (R, lags+1, k),
+    and the multinomial resample weights (_SE_RESAMPLES, R) of the replications.
+
+    Path r is simulate_coupled on rng.derive(tag, r), and the weights come
+    from rng.derive(tag + "-boot"); R and the moment order q are checked
+    before any path is simulated.
+    """
+    if R < 100:
+        raise ValidationError(f"need R >= 100 replications, got {R}")
+    _check_mc_order(spec, q)
+
+    def absdiff(r: int) -> np.ndarray:
+        x, xc = simulate_coupled(spec, lags + 1, rng.derive(tag, r))
+        return np.abs(f(x.data) - f(xc.data))
+
+    diffs = np.stack([absdiff(r) for r in range(R)])
+    bgen = rng.derive(tag + "-boot").generator()
+    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=_SE_RESAMPLES) / R
+    return diffs, weights
+
+
 def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
                rng: RngContract, lags: int = 30) -> DependenceProfile:
     """Dependence profile estimated from R coupled simulations.
@@ -326,15 +349,9 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
     only for the linear family (scalar lag structure); otherwise they are
     truncated at the recorded horizon.
     """
-    if R < 100:
-        raise ValidationError(f"mc_profile needs R >= 100 replications, got {R}")
-    _check_mc_order(spec, q)
+    absdiff, weights = _coupled_absdiff(spec, q, R, rng, "mc-profile", lags)
     n = lags + 1
     p = spec.p
-    absdiff = np.empty((R, n, p))
-    for r in range(R):
-        x, xc = simulate_coupled(spec, n, rng.derive("mc-profile", r))
-        absdiff[r] = np.abs(x.data - xc.data)
 
     def power_mean_root(order: float) -> np.ndarray:
         return np.mean(absdiff ** order, axis=0) ** (1.0 / order)
@@ -342,8 +359,6 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
     delta = power_mean_root(q)
 
     # multinomial bootstrap over replications for SE bands
-    bgen = rng.derive("mc-profile-boot").generator()
-    weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=_SE_RESAMPLES) / R
     vals_q = absdiff.reshape(R, -1) ** q
     boot = (weights @ vals_q)
     boot = np.clip(boot, 0.0, None) ** (1.0 / q)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .gboot import psd_sqrt, simultaneous_ci
 from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
-from .depmeasure import closed_form_profile
+from .depmeasure import _check_order, closed_form_profile
 from .model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
                     gaussian_abs_moment_root, lag_sum_weights, simulate)
 from .rng import RngContract
@@ -300,6 +300,7 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
         raise ValidationError(f"m must be >= 1 for the slope fit on log m, got {min(m_grid)}")
     if R < 2:
         raise ValidationError(f"mdep_rate_check needs R >= 2 replications, got {R}")
+    _check_order(q)
     oracle = np.array([np.max(mdep_oracle_norm(spec, n, m, q)) for m in m_grid]) \
         / math.sqrt(n)
     W = np.stack([lag_sum_weights(spec, n, m + 1) for m in m_grid])   # (|grid|, n+K)

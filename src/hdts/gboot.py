@@ -83,12 +83,11 @@ def _unit_factor(est: LongRunEstimate) -> np.ndarray:
     """Factor F_n with F_n^T F_n the correlation matrix of est.
 
     Fails when a coordinate is degenerate: a column of the block sums whose
-    norm is within the rounding noise floor of its data.
+    norm is within the rounding noise floor of its data.  The norms are
+    finite: LongRunEstimate refuses a non-finite diagonal.
     """
     Y = est.block_sums
     norms = np.linalg.norm(Y, axis=0)
-    if not np.all(np.isfinite(norms)):
-        raise NumericalError("block sums of the long-run estimate are not finite")
     flat = np.flatnonzero(norms <= est.noise_floor)
     if flat.size:
         raise AssumptionError(

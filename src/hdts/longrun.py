@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, ValidationError
+from .errors import BoundaryError, NumericalError, ValidationError
 from .model import Panel, ProcessSpec
 
 
@@ -55,19 +55,30 @@ class LongRunEstimate:
     """Symmetric PSD estimate of the long-run covariance matrix, kept as the
     (w, p) block sums Y it is built from.
 
-    kind "hat" assumes the process mean is zero; "tilde" subtracts the
-    sample mean of the used observations block-wise.  abs_max bounds each
-    column of the data summed, and sigma = Y^T Y / (M w) is formed only
-    when read.
+    abs_max bounds each column of the data summed, and sigma = Y^T Y / (M w)
+    is formed only when read.  The diagonal is computed when the estimate
+    is built, and a non-finite one raises NumericalError; since each
+    |sigma_jk| <= sqrt(sigma_jj sigma_kk), that bounds every entry of sigma
+    and every column norm of Y.
     """
 
-    def __init__(self, *, kind: str, plan: BlockPlan, block_sums: np.ndarray,
-                 abs_max: np.ndarray):
-        self.kind = kind
+    def __init__(self, *, plan: BlockPlan, block_sums: np.ndarray, abs_max: np.ndarray):
         self.plan = plan
         self.block_sums = block_sums
         self.abs_max = abs_max
+        self.diag = np.einsum("ij,ij->j", block_sums, block_sums) / (plan.M * plan.w)
+        if not np.all(np.isfinite(self.diag)):
+            raise NumericalError("the long-run estimate is not finite")
         self._sigma = None
+
+    @classmethod
+    def centred(cls, plan: BlockPlan, block_sums: np.ndarray,
+                abs_max: np.ndarray) -> "LongRunEstimate":
+        """Estimate from block sums centred at their mean over the w blocks,
+        which for the block sums of data is M times the mean of the used
+        observations."""
+        return cls(plan=plan, block_sums=block_sums - block_sums.mean(axis=0),
+                   abs_max=abs_max)
 
     @property
     def noise_floor(self) -> np.ndarray:
@@ -75,8 +86,12 @@ class LongRunEstimate:
 
         A worst-case bound for naive summation: a block sum errs by at most
         M^2 u max|x| and M times the mean of the used observations by
-        M * wM * u max|x| (u = eps/2), over w blocks.  It scales with the
-        data, so a degeneracy check built on it is scale-invariant.
+        M * wM * u max|x| (u = eps/2), over w blocks.  The bound still holds
+        when centring uses the mean of the block sums: that mean errs by at
+        most (M-1)M u max|x| + wM u max|x|, so a centred block sum errs by
+        at most 2(M-1)M u max|x| + wM u max|x| <= M(M + wM) u max|x|.  It
+        scales with the data, so a degeneracy check built on it is
+        scale-invariant.
         """
         plan = self.plan
         u = 0.5 * np.finfo(float).eps
@@ -91,19 +106,9 @@ class LongRunEstimate:
         return self._sigma
 
     @property
-    def p(self) -> int:
-        return self.block_sums.shape[1]
-
-    @property
-    def diag(self) -> np.ndarray:
-        """The diagonal sigma_jj, from the block sums without forming sigma."""
-        Y = self.block_sums
-        return np.einsum("ij,ij->j", Y, Y) / (self.plan.M * self.plan.w)
-
-    @property
     def diag_scale(self) -> np.ndarray:
         """sqrt of the diagonal (the normalization D used by the bootstrap)."""
-        return np.sqrt(np.maximum(self.diag, 0.0))
+        return np.sqrt(self.diag)
 
 
 def _block_sums(panel: Panel, plan: BlockPlan) -> np.ndarray:
@@ -124,21 +129,18 @@ def sigma_hat(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
     PSD by construction (average of outer products); the caller is
     responsible for the zero-mean assumption.
     """
-    return LongRunEstimate(kind="hat", plan=plan, block_sums=_block_sums(panel, plan),
+    return LongRunEstimate(plan=plan, block_sums=_block_sums(panel, plan),
                            abs_max=_abs_max(panel, plan))
 
 
 def sigma_tilde(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
     """Mean-subtracted batched-mean estimate, valid with unknown mean.
 
-    Uses the sample mean over the first w*M observations; satisfies the
-    exact identity sigma_hat - sigma_tilde = M * xbar xbar^T.
+    The block sums are centred at their mean, which is M times the sample
+    mean xbar over the first w*M observations, so that
+    sigma_hat - sigma_tilde = M * xbar xbar^T up to rounding.
     """
-    Y = _block_sums(panel, plan)
-    xbar = panel.data[:plan.used].mean(axis=0)
-    Yc = Y - plan.M * xbar
-    return LongRunEstimate(kind="tilde", plan=plan, block_sums=Yc,
-                           abs_max=_abs_max(panel, plan))
+    return LongRunEstimate.centred(plan, _block_sums(panel, plan), _abs_max(panel, plan))
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,14 @@ class InnovationLaw:
         if self.kind == "standard-gaussian":
             pass
         elif self.kind == "student-t":
-            if self.df is None or not self.df > 2:
-                raise ValidationError(f"student-t requires df > 2, got {self.df}")
+            if self.df is None or not 2 < self.df < math.inf:
+                raise ValidationError(f"student-t requires a finite df > 2, got {self.df}")
         elif self.kind == "symmetric-pareto":
-            if self.tail_index is None or not self.tail_index > 2:
+            if self.tail_index is None or not 2 < self.tail_index < math.inf:
                 raise ValidationError(
-                    f"symmetric-pareto requires tail index > 2, got {self.tail_index}")
-            if not self.u0 > 1:
-                raise ValidationError(f"symmetric-pareto requires u0 > 1, got {self.u0}")
+                    f"symmetric-pareto requires a finite tail index > 2, got {self.tail_index}")
+            if not 1 < self.u0 < math.inf:
+                raise ValidationError(f"symmetric-pareto requires a finite u0 > 1, got {self.u0}")
             if self.body not in ("uniform", "shell"):
                 raise ValidationError(f"unknown symmetric-pareto body {self.body!r}")
             if self._pareto_params()[2] <= 0:

@@ -137,8 +137,7 @@ def test_criterion_08_bootstrap_oracle():
     plan = plan_blocks(1000, 10)
     Y = np.zeros((plan.w, 10))
     Y[:10] = np.sqrt(plan.M * plan.w) * np.eye(10)
-    est = LongRunEstimate(kind="tilde", plan=plan, block_sums=Y,
-                          abs_max=np.max(np.abs(Y), axis=0))
+    est = LongRunEstimate(plan=plan, block_sums=Y, abs_max=np.max(np.abs(Y), axis=0))
     bq = bootstrap_quantile(est, 0.95, 100_000, RngContract(42))
     target = norm.ppf((1.0 + 0.95 ** 0.1) / 2.0)
     z = abs(bq.chi - target) / bq.chi_se

@@ -290,6 +290,36 @@ def test_numerical_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["type"] == "numerical"
 
 
+@pytest.mark.parametrize("first", [
+    [1e308, 1e308, -1e308, -1e308] * 2,    # the block sums overflow
+    [1e160, 1e160, -1e160, -1e160] * 2,    # sigma overflows, the block sums do not
+], ids=["block-sums", "sigma"])
+def test_non_finite_estimate_exit_code(tmp_path, capsys, first):
+    panel = tmp_path / "panel.csv"
+    io.write_panel_csv(panel, np.column_stack([first, np.arange(1.0, 9.0)]))
+    rc = main(["estimate", "--panel", str(panel), "--M", "2", "--out", str(tmp_path / "est")])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (3, "numerical")
+    assert not list(tmp_path.glob("est.sigma.*"))
+    for command in ("ci", "covtest"):
+        rc = main([command, "--panel", str(panel), "--M", "2",
+                   "--out", str(tmp_path / command)])
+        assert (rc, json.loads(capsys.readouterr().err)["type"]) == (3, "numerical")
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("student-t", "df"), ("symmetric-pareto", "tail_index"), ("symmetric-pareto", "u0"),
+])
+def test_non_finite_innovation_parameter_exit_code(tmp_path, capsys, kind, key):
+    cfg = tmp_path / "cfg.ini"
+    text = DEFAULT_CONFIG.replace("kind = standard-gaussian", f"kind = {kind}")
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = inf", text, count=1, flags=re.M))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    body = json.loads(capsys.readouterr().err)
+    assert rc == 2 and body["type"] == "validation"
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(DEFAULT_CONFIG.replace("n_perm = 0", "n_perm = 0\nn_gird = 5"))
@@ -591,8 +621,12 @@ def test_single_n_kinds_reject_an_n_list(tmp_path, monkeypatch, capsys, kind, ru
     ("mdep", "n = 500", "n = 0"), ("mdep", "m_grid = 16", "m_grid = -1"),
     ("mdep", "m_grid = 16,32,64,128,256", "m_grid = 0,16,32"),
     ("ga", "n_perm = 0", "n_perm = -5"),
+    ("mdep", "q = 8.0", "q = 0"), ("mdep", "q = 8.0", "q = -1"),
+    ("mdep", "q = 8.0", "q = nan"), ("mdep", "q = 8.0", "q = inf"),
+    ("counterexample", "tail_index = 4.0", "tail_index = inf"),
 ], ids=["rate-R=0", "rate-R=-5", "mdep-R=0", "mdep-R=1", "mdep-n=0", "mdep-m=-1",
-        "mdep-m=0", "ga-n_perm=-5"])
+        "mdep-m=0", "ga-n_perm=-5", "mdep-q=0", "mdep-q=-1", "mdep-q=nan", "mdep-q=inf",
+        "counterexample-tail_index=inf"])
 def test_experiment_rejects_unusable_sizes_before_replicating(tmp_path, monkeypatch, capsys,
                                                                kind, old, new):
     def fail(*args, **kwargs):

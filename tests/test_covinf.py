@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdts.covinf import (build_cov_panel, cov_dep_norm_bound,
-                         cov_simultaneous_test, flat_to_pair, mc_cov_norms,
-                         n_pairs, pair_indices, pair_to_flat,
-                         product_block_sums)
+                         cov_simultaneous_test, mc_cov_norms, n_pairs,
+                         pair_indices, product_block_sums)
 from hdts.depmeasure import closed_form_profile
 from hdts.errors import ValidationError
 from hdts.gboot import bootstrap_quantile
@@ -25,17 +26,6 @@ def test_pair_layout_p2():
     js, ks = pair_indices(2)
     assert list(zip(js, ks)) == [(0, 0), (0, 1), (1, 1)]
     assert n_pairs(2) == 3
-
-
-def test_pair_bijection():
-    p = 7
-    for a in range(n_pairs(p)):
-        j, k = flat_to_pair(a, p)
-        assert pair_to_flat(j, k, p) == a
-    with pytest.raises(ValidationError):
-        pair_to_flat(3, 2, 7)
-    with pytest.raises(ValidationError):
-        flat_to_pair(n_pairs(7), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +128,7 @@ def test_mc_profile_bound_feeds_condition_checker():
 def test_mc_cov_norms_rejects_orders_before_simulating(monkeypatch, spec, q):
     def fail(*args, **kwargs):
         raise AssertionError("simulated with an unusable moment order")
-    monkeypatch.setattr("hdts.covinf.simulate_coupled", fail)
+    monkeypatch.setattr("hdts.depmeasure.simulate_coupled", fail)
     with pytest.raises(ValidationError, match="moment"):
         mc_cov_norms(spec, q, 1.0, 100, RNG)
 
@@ -256,6 +246,8 @@ def test_cov_test_power_planted_correlation():
     gamma = np.eye(5)
     gamma[1, 3] = gamma[3, 1] = 0.9
     L = np.linalg.cholesky(gamma)
+    js, ks = pair_indices(5)
+    planted = (js == 1) & (ks == 3)
     flagged = 0
     R = 400
     for r in range(R):
@@ -263,7 +255,7 @@ def test_cov_test_power_planted_correlation():
         panel = Panel.from_data(z @ L.T)
         res = cov_simultaneous_test(panel, 0.95, 1, 1000,
                                     RNG.derive("power-boot", r))
-        flagged += any((j, k) == (1, 3) for j, k in map(tuple, res.flagged))
+        flagged += bool(res.flags[planted][0])
     assert flagged / R >= 0.99
 
 
@@ -286,22 +278,34 @@ def test_cov_test_statistic_shrinks_with_n():
     assert raw[0] > raw[1] > raw[2]
 
 
-def test_cov_test_permutation_symmetry():
-    perm = np.array([2, 0, 1, 3])
-    panel = simulate(ProcessSpec("iid", p=4), 600, RNG.derive("perm"))
-    res = cov_simultaneous_test(panel, 0.95, 1, 2000, RngContract(62))
-    permuted = Panel.from_data(panel.data[:, perm])
-    res_p = cov_simultaneous_test(permuted, 0.95, 1, 2000, RngContract(62))
-    # per-pair statistics permute exactly
-    from hdts.covinf import pair_to_flat as flat
-    for j in range(4):
-        for k in range(j, 4):
-            jp, kp = sorted((int(np.where(perm == j)[0][0]),
-                             int(np.where(perm == k)[0][0])))
-            a = flat(j, k, 4)
-            b = flat(jp, kp, 4)
-            assert res.pair_stats[a] == pytest.approx(res_p.pair_stats[b], abs=1e-10)
-    assert res.statistic == pytest.approx(res_p.statistic, abs=1e-10)
+@settings(max_examples=40, deadline=None)
+@given(p_perm=st.integers(1, 6).flatmap(
+           lambda p: st.tuples(st.just(p), st.permutations(range(p)))),
+       n_M=st.integers(8, 160).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n // 2))),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p_perm=(4, [2, 0, 1, 3]), n_M=(600, 1), seed=0)   # w = 600 > 10 pairs
+@example(p_perm=(5, [4, 2, 0, 3, 1]), n_M=(40, 4), seed=1)  # w = 10 <= 15 pairs
+def test_cov_test_permutation_equivariance(p_perm, n_M, seed):
+    (p, perm), (n, M) = p_perm, n_M
+    perm = np.array(perm)
+    panel = Panel.from_data(RngContract(seed).derive("perm").generator().standard_normal((n, p)))
+    res = cov_simultaneous_test(panel, 0.95, M, 1000, RngContract(62), null_gamma=np.eye(p))
+    # C order, as simulate and the panel readers give
+    permuted = Panel.from_data(np.ascontiguousarray(panel.data[:, perm]))
+    res_p = cov_simultaneous_test(permuted, 0.95, M, 1000, RngContract(62),
+                                  null_gamma=np.eye(p))
+    # pair (a, b) of the permuted panel is pair (perm[a], perm[b]) of the original
+    js, ks = pair_indices(p)
+    flat = np.empty((p, p), dtype=int)
+    flat[js, ks] = flat[ks, js] = np.arange(n_pairs(p))
+    back = flat[perm[js], perm[ks]]
+    assert np.array_equal(res_p.gamma_hat, res.gamma_hat[back])
+    assert np.array_equal(res_p.pair_stats, res.pair_stats[back])
+    assert res_p.statistic == pytest.approx(res.statistic, abs=1e-10)
+    if res.w <= n_pairs(p):
+        # F_n is the unit-norm block sums, whose columns permute with the pairs
+        assert res_p.threshold == pytest.approx(res.threshold, rel=1e-10)
 
 
 def test_cov_test_dimension_guard():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -18,7 +18,7 @@ M_BLOCK = 10
 
 
 def estimate_of_sums(Y) -> LongRunEstimate:
-    return LongRunEstimate(kind="tilde", plan=plan_blocks(M_BLOCK * Y.shape[0], M_BLOCK),
+    return LongRunEstimate(plan=plan_blocks(M_BLOCK * Y.shape[0], M_BLOCK),
                            block_sums=Y, abs_max=np.max(np.abs(Y), axis=0))
 
 
@@ -217,3 +217,27 @@ def test_ci_width_shrinks_like_root_n():
             med.append(np.median(rep.half_widths()))
         widths[n] = float(np.median(med))
     assert widths[1600] / widths[400] == pytest.approx(0.5, abs=0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p_perm=st.integers(1, 8).flatmap(
+           lambda p: st.tuples(st.just(p), st.permutations(range(p)))),
+       n_M=st.integers(8, 200).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n // 2))),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p_perm=(6, [3, 5, 0, 2, 1, 4]), n_M=(300, 3), seed=0)  # w = 100 > p
+@example(p_perm=(6, [3, 5, 0, 2, 1, 4]), n_M=(300, 60), seed=0)  # w = 5 <= p
+def test_ci_permutation_equivariance(p_perm, n_M, seed):
+    (p, perm), (n, M) = p_perm, n_M
+    perm = np.array(perm)
+    panel = Panel.from_data(RngContract(seed).derive("perm").generator().standard_normal((n, p)))
+    rep = simultaneous_ci(panel, 0.95, M, 1000, RngContract(7))
+    # C order, as simulate and the panel readers give: a column-major copy
+    # would sum its columns in another order
+    permuted = Panel.from_data(np.ascontiguousarray(panel.data[:, perm]))
+    rep_p = simultaneous_ci(permuted, 0.95, M, 1000, RngContract(7))
+    assert np.array_equal(rep_p.mu_hat, rep.mu_hat[perm])
+    assert np.array_equal(rep_p.sigma_diag, rep.sigma_diag[perm])
+    if rep.w <= p:
+        # F_n is the unit-norm block sums, whose columns permute with the data
+        assert rep_p.chi == pytest.approx(rep.chi, rel=1e-10)

@@ -439,6 +439,17 @@ def test_symmetric_pareto_guards():
     assert not InnovationLaw.student_t(5.0).admits_moment(5.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: InnovationLaw.student_t(math.inf), "df"),
+    (lambda: InnovationLaw.symmetric_pareto(math.inf), "tail index"),
+    (lambda: InnovationLaw.symmetric_pareto(4.0, u0=math.inf), "u0"),
+    (lambda: InnovationLaw.symmetric_pareto(math.inf, body="shell"), "tail index"),
+], ids=["t-df=inf", "pareto-tail=inf", "pareto-u0=inf", "shell-tail=inf"])
+def test_innovation_law_rejects_non_finite_parameters(make, name):
+    with pytest.raises(ValidationError, match=name):
+        make()
+
+
 def test_panel_rejects_non_finite():
     from hdts.errors import NumericalError
     from hdts.model import Panel
