@@ -243,8 +243,9 @@ def cmd_ci(args) -> int:
     report = simultaneous_ci(panel, args.theta, _opt_M(args.M), args.B,
                              RngContract(args.seed))
     rows = [{"j": j, "mu_hat": mu, "lo": lo, "hi": hi, "sigma_tilde_jj": s}
-            for j, mu, lo, hi, s in zip(range(1, panel.p + 1), report.mu_hat,
-                                        report.lo, report.hi, report.sigma_diag)]
+            for j, mu, lo, hi, s in zip(range(1, panel.p + 1), report.mu_hat.tolist(),
+                                        report.lo.tolist(), report.hi.tolist(),
+                                        report.sigma_diag.tolist())]
     base = Path(args.out or "ci")
     csv_path = _beside(base, ".ci.csv")
     _write_outputs(args, "ci", _beside(base, ".manifest.json"), [
@@ -263,8 +264,9 @@ def cmd_covtest(args) -> int:
     js, ks = pair_indices(panel.p)
     rows = [{"j": j, "k": k, "gamma_hat": g, "stat": s,
              "threshold": res.threshold, "flag": flag}
-            for j, k, g, s, flag in zip(js + 1, ks + 1, res.gamma_hat,
-                                        res.pair_stats, res.flags.astype(int))]
+            for j, k, g, s, flag in zip((js + 1).tolist(), (ks + 1).tolist(),
+                                        res.gamma_hat.tolist(), res.pair_stats.tolist(),
+                                        res.flags.astype(int).tolist())]
     base = Path(args.out or "covtest")
     csv_path = _beside(base, ".covtest.csv")
     _write_outputs(args, "covtest", _beside(base, ".manifest.json"), [

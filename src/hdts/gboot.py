@@ -12,6 +12,12 @@ Yc divided by its column norms (the multiplier bootstrap in factor form):
 neither Sigma_tilde nor its square root is formed, and nothing is clipped.
 When w > p the p x p triangular factor R of Yc = QR, which has the same
 Gram matrix, replaces Yc so that draws stay p wide.
+
+Draws are made in chunks of _DRAW_CHUNK rows, chunk k from its own stream.
+Each call keeps one chunk-sized product buffer: every chunk's eta @ F is
+written into it and its |.| and row maxima are taken in place, straight
+into the draw vector.  The product is never tiled: row or column tiles of
+a gemm may round differently from the whole product.
 """
 
 from __future__ import annotations
@@ -118,12 +124,16 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
         raise ValidationError(f"need B >= 1000 bootstrap draws, got {B}")
     F = _unit_factor(est)
 
+    # the buffer belongs to this call: calls may run on several threads at once
     draws = np.empty(B)
+    buf = np.empty((min(B, _DRAW_CHUNK), F.shape[1]))
     for start in range(0, B, _DRAW_CHUNK):
         stop = min(start + _DRAW_CHUNK, B)
         gen = rng.derive("gboot-draws", start // _DRAW_CHUNK).generator()
         eta = gen.standard_normal((stop - start, F.shape[0]))
-        draws[start:stop] = np.max(np.abs(eta @ F), axis=1)
+        P = np.matmul(eta, F, out=buf[:stop - start])
+        np.abs(P, out=P)
+        np.max(P, axis=1, out=draws[start:stop])
 
     sorted_draws = np.sort(draws)
     chi = _order_statistic(sorted_draws, theta)

@@ -117,11 +117,17 @@ class InnovationLaw:
                 raise ValidationError(f"symmetric-pareto requires a finite u0 > 1, got {self.u0}")
             if self.body not in ("uniform", "shell"):
                 raise ValidationError(f"unknown symmetric-pareto body {self.body!r}")
-            if self._pareto_params()[2] <= 0:
+            try:
+                if self._pareto_params()[2] <= 0:
+                    raise ValidationError(
+                        "symmetric-pareto tail carries second moment >= 1; "
+                        "unit total variance is infeasible for this (tail_index, u0)")
+                self.body_mass()  # feasibility of the chosen body
+            except OverflowError:
+                # u0 ** 2 (tail moment) or u0 ** 3 (shell body) exceeds float range
                 raise ValidationError(
-                    "symmetric-pareto tail carries second moment >= 1; "
-                    "unit total variance is infeasible for this (tail_index, u0)")
-            self.body_mass()  # feasibility of the chosen body
+                    f"symmetric-pareto u0 = {self.u0!r} is too large: the second "
+                    f"moments of the law overflow double precision") from None
 
     # -- constructors -------------------------------------------------------
 
@@ -379,13 +385,14 @@ class InnovationRecord:
 @dataclass(frozen=True)
 class Panel:
     """n x p observation matrix, row i = time i, plus the innovations that
-    produced it when it was simulated."""
+    produced it when it was simulated.  The data are stored C-contiguous, so
+    column reductions do not depend on the caller's memory layout."""
 
     data: np.ndarray
     innovations: InnovationRecord | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = np.asarray(self.data, dtype=float, order="C")
         if data.ndim != 2:
             raise ValidationError(f"panel data must be 2-d, got shape {data.shape}")
         if min(data.shape) < 1:

@@ -320,6 +320,16 @@ def test_non_finite_innovation_parameter_exit_code(tmp_path, capsys, kind, key):
     assert not list(tmp_path.glob("x*"))
 
 
+def test_symmetric_pareto_huge_u0_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(DEFAULT_CONFIG.replace("kind = standard-gaussian", "kind = symmetric-pareto")
+                                 .replace("u0 = 7.38905609893065", "u0 = 1e200"))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = json.loads(capsys.readouterr().err)
+    assert (rc, err["type"]) == (2, "validation") and "u0" in err["error"]
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(DEFAULT_CONFIG.replace("n_perm = 0", "n_perm = 0\nn_gird = 5"))

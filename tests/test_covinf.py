@@ -291,8 +291,7 @@ def test_cov_test_permutation_equivariance(p_perm, n_M, seed):
     perm = np.array(perm)
     panel = Panel.from_data(RngContract(seed).derive("perm").generator().standard_normal((n, p)))
     res = cov_simultaneous_test(panel, 0.95, M, 1000, RngContract(62), null_gamma=np.eye(p))
-    # C order, as simulate and the panel readers give
-    permuted = Panel.from_data(np.ascontiguousarray(panel.data[:, perm]))
+    permuted = Panel.from_data(panel.data[:, perm])   # column-major copy
     res_p = cov_simultaneous_test(permuted, 0.95, M, 1000, RngContract(62),
                                   null_gamma=np.eye(p))
     # pair (a, b) of the permuted panel is pair (perm[a], perm[b]) of the original

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from hdts.errors import AssumptionError, NumericalError, ValidationError
-from hdts.gboot import (_order_statistic, _quantile_se, bootstrap_quantile, psd_sqrt,
-                        simultaneous_ci)
+from hdts.gboot import (_order_statistic, _quantile_se, _unit_factor, bootstrap_quantile,
+                        psd_sqrt, simultaneous_ci)
 from hdts.longrun import LongRunEstimate, plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
@@ -125,6 +127,46 @@ def test_normalization_invariance_under_coordinate_rescaling():
     assert abs(a.chi - b.chi) < 1e-10
 
 
+def _chunked_draws(est, B, rng):
+    """The draw loop written plainly: a fresh |eta @ F| per 1024-row chunk."""
+    F = _unit_factor(est)
+    draws = []
+    for start in range(0, B, 1024):
+        gen = rng.derive("gboot-draws", start // 1024).generator()
+        eta = gen.standard_normal((min(start + 1024, B) - start, F.shape[0]))
+        draws.append(np.max(np.abs(eta @ F), axis=1))
+    return np.concatenate(draws)
+
+
+@settings(max_examples=30, deadline=None)
+@given(w=st.integers(1, 300), d=st.integers(1, 300),
+       B=st.sampled_from([1000, 1025, 2000, 2049]), seed=st.integers(0, 2 ** 32 - 1))
+@example(w=41, d=41, B=2049, seed=0)    # shapes where tiled products change bits
+@example(w=50, d=60, B=1025, seed=1)
+@example(w=99, d=100, B=2000, seed=2)
+@example(w=200, d=300, B=1000, seed=3)
+@example(w=71, d=20, B=2049, seed=4)    # w > d: draws from the triangular factor
+def test_draws_equal_the_plain_chunked_loop(w, d, B, seed):
+    # B = 1025 and 2049 end in a 1-row chunk, 2000 in a partial one
+    Y = RngContract(seed).derive("loop").generator().standard_normal((w, d))
+    est = estimate_of_sums(Y)
+    got = bootstrap_quantile(est, 0.95, B, RngContract(seed)).draws
+    assert np.array_equal(got, _chunked_draws(est, B, RngContract(seed)))
+
+
+def test_draw_loop_keeps_one_chunk_sized_product():
+    # one 1024 x d product buffer, not a fresh product and |product| per chunk
+    w, d = 50, 5000
+    est = estimate_of_sums(RNG.derive("mem").generator().standard_normal((w, d)))
+    tracemalloc.start()
+    try:
+        bootstrap_quantile(est, 0.95, 2000, RNG.derive("mem-draws"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 1024 * d
+
+
 # ---------------------------------------------------------------------------
 # factor form on block sums
 # ---------------------------------------------------------------------------
@@ -232,12 +274,20 @@ def test_ci_permutation_equivariance(p_perm, n_M, seed):
     perm = np.array(perm)
     panel = Panel.from_data(RngContract(seed).derive("perm").generator().standard_normal((n, p)))
     rep = simultaneous_ci(panel, 0.95, M, 1000, RngContract(7))
-    # C order, as simulate and the panel readers give: a column-major copy
-    # would sum its columns in another order
-    permuted = Panel.from_data(np.ascontiguousarray(panel.data[:, perm]))
+    permuted = Panel.from_data(panel.data[:, perm])   # column-major copy
     rep_p = simultaneous_ci(permuted, 0.95, M, 1000, RngContract(7))
     assert np.array_equal(rep_p.mu_hat, rep.mu_hat[perm])
     assert np.array_equal(rep_p.sigma_diag, rep.sigma_diag[perm])
     if rep.w <= p:
         # F_n is the unit-norm block sums, whose columns permute with the data
         assert rep_p.chi == pytest.approx(rep.chi, rel=1e-10)
+
+
+def test_ci_does_not_depend_on_memory_layout():
+    data = simulate(ProcessSpec("linear", p=5, alpha=1.0, K=20, h=1, rho=0.5),
+                    400, RNG.derive("layout")).data
+    a = simultaneous_ci(Panel.from_data(data), 0.95, None, 2000, RngContract(11))
+    b = simultaneous_ci(Panel.from_data(np.asfortranarray(data)), 0.95, None, 2000,
+                        RngContract(11))
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name

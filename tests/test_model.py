@@ -450,6 +450,15 @@ def test_innovation_law_rejects_non_finite_parameters(make, name):
         make()
 
 
+@pytest.mark.parametrize("u0, body", [(1e200, "uniform"), (1e120, "shell")],
+                         ids=["tail-moment", "shell-moment"])
+def test_symmetric_pareto_rejects_a_u0_whose_moments_overflow(u0, body):
+    # u0 ** 2 (tail) overflows above about 1.3e154 and u0 ** 3 (shell) above 5.6e102
+    with pytest.raises(ValidationError, match="u0 = .* too large"):
+        InnovationLaw.symmetric_pareto(4.0, u0=u0, body=body)
+    assert InnovationLaw.symmetric_pareto(4.0, u0=1e120).body_mass() == 1.0
+
+
 def test_panel_rejects_non_finite():
     from hdts.errors import NumericalError
     from hdts.model import Panel
