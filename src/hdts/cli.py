@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from pathlib import Path
@@ -242,14 +243,13 @@ def cmd_ci(args) -> int:
     panel = Panel.from_data(data)
     report = simultaneous_ci(panel, args.theta, _opt_M(args.M), args.B,
                              RngContract(args.seed))
-    rows = [{"j": j, "mu_hat": mu, "lo": lo, "hi": hi, "sigma_tilde_jj": s}
-            for j, mu, lo, hi, s in zip(range(1, panel.p + 1), report.mu_hat.tolist(),
-                                        report.lo.tolist(), report.hi.tolist(),
-                                        report.sigma_diag.tolist())]
+    columns = {"j": list(range(1, panel.p + 1)), "mu_hat": report.mu_hat.tolist(),
+               "lo": report.lo.tolist(), "hi": report.hi.tolist(),
+               "sigma_tilde_jj": report.sigma_diag.tolist()}
     base = Path(args.out or "ci")
     csv_path = _beside(base, ".ci.csv")
     _write_outputs(args, "ci", _beside(base, ".manifest.json"), [
-        (csv_path, io.write_rows_csv, rows),
+        (csv_path, io.write_rows_csv, columns),
         (_beside(base, ".ci.json"), io.write_json, report.sidecar_dict())])
     print(f"wrote {csv_path} (chi={report.chi:.6g}, M={report.M}, w={report.w})")
     return 0
@@ -262,15 +262,13 @@ def cmd_covtest(args) -> int:
     res = cov_simultaneous_test(panel, args.theta, _opt_M(args.M), args.B,
                                 RngContract(args.seed), null_gamma=null_gamma)
     js, ks = pair_indices(panel.p)
-    rows = [{"j": j, "k": k, "gamma_hat": g, "stat": s,
-             "threshold": res.threshold, "flag": flag}
-            for j, k, g, s, flag in zip((js + 1).tolist(), (ks + 1).tolist(),
-                                        res.gamma_hat.tolist(), res.pair_stats.tolist(),
-                                        res.flags.astype(int).tolist())]
+    columns = {"j": (js + 1).tolist(), "k": (ks + 1).tolist(),
+               "gamma_hat": res.gamma_hat.tolist(), "stat": res.pair_stats.tolist(),
+               "threshold": res.threshold, "flag": res.flags.astype(int).tolist()}
     base = Path(args.out or "covtest")
     csv_path = _beside(base, ".covtest.csv")
     _write_outputs(args, "covtest", _beside(base, ".manifest.json"), [
-        (csv_path, io.write_rows_csv, rows),
+        (csv_path, io.write_rows_csv, columns),
         (_beside(base, ".covtest.json"), io.write_json,
          {"theta": res.theta, "statistic": res.statistic,
           "threshold": res.threshold, "reject": res.reject,
@@ -367,10 +365,10 @@ def cmd_experiment(args) -> int:
         cfg, spec, R, RngContract(args.seed), args)
 
     csv_path = out_dir / "report.csv"
-    outputs = [(csv_path, io.write_rows_csv, rows)]
+    outputs = [(csv_path, io.write_rows_csv, io.rows_to_columns(rows))]
     if args.dump_ecdf:
         outputs += [(out_dir / f"{name}.ecdf.csv", io.write_rows_csv,
-                     ecdf_dump_rows(sample, gauss))
+                     io.rows_to_columns(ecdf_dump_rows(sample, gauss)))
                     for name, sample, gauss in ecdf_cells]
     io.write_json(out_dir / "report.meta.json",
                   {"meta": {"kind": kind, "family": spec.family, **meta},
@@ -407,7 +405,10 @@ def cmd_check_conditions(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse_args call fills a
+    fresh namespace, so calls share no state through it."""
     import os
     ap = argparse.ArgumentParser(
         prog="hdts",

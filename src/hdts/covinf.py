@@ -68,6 +68,8 @@ def product_block_sums(panel: Panel, plan: BlockPlan) -> tuple[np.ndarray, np.nd
     Row b is the upper triangle of X_b^T X_b - M gamma_hat for block b of
     the plan; gamma_hat is the upper triangle of X^T X / n over all n rows.
     Equal, up to rounding, to the block sums of build_cov_panel(panel).
+    Products that overflow give non-finite entries without a warning; the
+    long-run estimate built from them reports that.
     """
     if panel.n < 2:
         raise ValidationError(f"need n >= 2 observations, got {panel.n}")
@@ -76,10 +78,11 @@ def product_block_sums(panel: Panel, plan: BlockPlan) -> tuple[np.ndarray, np.nd
             f"plan covers n={plan.n} but panel has n={panel.n} observations")
     js, ks = pair_indices(panel.p)
     X = panel.data
-    gamma_hat = (X.T @ X)[js, ks] / panel.n
     blocks = X[:plan.used].reshape(plan.w, plan.M, panel.p)
-    gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
-    return gram[:, js, ks] - plan.M * gamma_hat, gamma_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_hat = (X.T @ X)[js, ks] / panel.n
+        gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
+        return gram[:, js, ks] - plan.M * gamma_hat, gamma_hat
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,9 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
 
     # |X_ij X_ik| <= max|X_j| max|X_k| bounds the product columns
     abs_max = np.max(np.abs(panel.data[:plan.used]), axis=0)
-    est = LongRunEstimate.centred(plan, Y, abs_max[js] * abs_max[ks])
+    with np.errstate(over="ignore"):
+        pair_max = abs_max[js] * abs_max[ks]
+    est = LongRunEstimate.centred(plan, Y, pair_max)
     bq = bootstrap_quantile(est, theta, B, rng)
     pair_stats = math.sqrt(panel.n) * np.abs(gamma_hat - null_flat) / est.diag_scale
     return CovTestResult(statistic=float(np.max(pair_stats)), threshold=bq.chi,

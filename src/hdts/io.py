@@ -3,9 +3,13 @@ sidecars and run manifests.
 
 HDTS1 layout: 5 magic bytes ``HDTS1``, then two little-endian uint64
 (rows, cols), then rows*cols little-endian float64 in row-major order.
-Every CSV line is built by one formatter, ``_csv_lines``: floats are
-printed with %.17g (``_fmt``) so that round-trips and reruns are
-byte-identical, other cells with ``str``.
+Every CSV file is built by one formatter, ``_csv_text``, from columns:
+a list with one cell per row, or one value repeated on every row.  Each
+column gets one field of a per-row line template, chosen by the types of
+its cells: ``{:.17g}`` (%.17g) when every cell is a float, so that
+round-trips and reruns are byte-identical, ``{}`` (the same as ``str``)
+when none is; a column that mixes the two is formatted cell by cell the
+same way, and a repeated value is formatted once.
 """
 
 from __future__ import annotations
@@ -24,17 +28,35 @@ from .util import sha256_file
 MAGIC = b"HDTS1"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(v) -> str:
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def _csv_lines(header, rows):
-    """CSV lines ending in \\n: the header unless it is None, then each row
-    with floats formatted by _fmt and other values by str."""
-    if header is not None:
-        yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+def _csv_text(header, columns) -> str:
+    """CSV text, lines ending in \\n: the header unless it is None, then one
+    line per row, built by one str.format template.
+
+    A column is a list (one cell per row) or any other value, which repeats
+    on every row and is formatted once into the template; at least one
+    column must be a list, and all lists have the same length.
+    """
+    fields, lists = [], []
+    for col in columns:
+        if not isinstance(col, list):
+            fields.append(_cell(col).replace("{", "{{").replace("}", "}}"))
+            continue
+        floats = {issubclass(t, float) for t in set(map(type, col))}
+        if floats == {True}:
+            fields.append("{:.17g}")
+        else:
+            fields.append("{}")
+            if True in floats:
+                col = [_cell(v) for v in col]
+        lists.append(col)
+    if len({len(col) for col in lists}) != 1:
+        raise ValueError("CSV columns need one common length")
+    head = "" if header is None else ",".join(header) + "\n"
+    return head + "".join(map((",".join(fields) + "\n").format, *lists))
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +96,30 @@ def read_array_binary(path) -> np.ndarray:
 # CSV
 # ---------------------------------------------------------------------------
 
+_BLOCK_CELLS = 1 << 16   # cells formatted per write by _write_array_csv
+
+
+def _write_array_csv(path, arr: np.ndarray, header=None) -> None:
+    """CSV of a 2-d float array, formatted a block of rows at a time so that
+    memory stays one block of cells whatever the size; with a header, a
+    first column t counts the rows from 1."""
+    arr = np.asarray(arr, dtype=float)
+    step = max(1, _BLOCK_CELLS // max(1, arr.shape[1]))
+    with open(path, "w", newline="") as f:
+        if header is not None:
+            f.write(",".join(header) + "\n")
+        for start in range(0, arr.shape[0], step):
+            block = arr[start:start + step]
+            columns = block.T.tolist()
+            if header is not None:
+                columns.insert(0, list(range(start + 1, start + 1 + block.shape[0])))
+            f.write(_csv_text(None, columns))
+
+
 def write_panel_csv(path, data: np.ndarray) -> None:
     """Header t,x1..xp; t counts observations from 1."""
-    data = np.asarray(data, dtype=float)
-    header = ["t"] + [f"x{j + 1}" for j in range(data.shape[1])]
-    rows = ((t, *row) for t, row in enumerate(data, start=1))
-    with open(path, "w", newline="") as f:
-        f.writelines(_csv_lines(header, rows))
+    header = ["t"] + [f"x{j + 1}" for j in range(np.shape(data)[1])]
+    _write_array_csv(path, data, header)
 
 
 def _parse_rows(path, lines, first_line: int, skip: int,
@@ -117,8 +156,7 @@ def read_panel_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, arr: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        f.writelines(_csv_lines(None, np.asarray(arr, dtype=float)))
+    _write_array_csv(path, arr)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -133,16 +171,22 @@ def read_panel_any(path) -> np.ndarray:
     return read_array_binary(path) if head == MAGIC else read_panel_csv(path)
 
 
-def rows_csv_text(rows: list[dict]) -> str:
-    """CSV text of dict rows under a header of the first row's keys."""
+def rows_to_columns(rows: list[dict]) -> dict:
+    """Columns of dict rows, keyed and ordered by the first row's keys."""
     if not rows:
         raise ValidationError("no rows to write")
-    cols = list(rows[0])
-    return "".join(_csv_lines(cols, ([row[c] for c in cols] for row in rows)))
+    return {c: [row[c] for row in rows] for c in rows[0]}
 
 
-def write_rows_csv(path, rows: list[dict]) -> None:
-    text = rows_csv_text(rows)
+def rows_csv_text(rows: list[dict]) -> str:
+    """CSV text of dict rows under a header of the first row's keys."""
+    columns = rows_to_columns(rows)
+    return _csv_text(columns, columns.values())
+
+
+def write_rows_csv(path, columns: dict) -> None:
+    """CSV of named columns (see _csv_text) under a header of their names."""
+    text = _csv_text(columns, columns.values())
     with open(path, "w", newline="") as f:
         f.write(text)
 

@@ -76,9 +76,11 @@ class LongRunEstimate:
                 abs_max: np.ndarray) -> "LongRunEstimate":
         """Estimate from block sums centred at their mean over the w blocks,
         which for the block sums of data is M times the mean of the used
-        observations."""
-        return cls(plan=plan, block_sums=block_sums - block_sums.mean(axis=0),
-                   abs_max=abs_max)
+        observations.  Overflow here leaves a non-finite diagonal, which
+        the constructor reports."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = block_sums - block_sums.mean(axis=0)
+        return cls(plan=plan, block_sums=centred, abs_max=abs_max)
 
     @property
     def noise_floor(self) -> np.ndarray:
@@ -116,7 +118,8 @@ def _block_sums(panel: Panel, plan: BlockPlan) -> np.ndarray:
         raise ValidationError(
             f"plan covers n={plan.n} but panel has n={panel.n} observations")
     used = panel.data[:plan.used]
-    return used.reshape(plan.w, plan.M, panel.p).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow fails LongRunEstimate's check
+        return used.reshape(plan.w, plan.M, panel.p).sum(axis=1)
 
 
 def _abs_max(panel: Panel, plan: BlockPlan) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from hdts.longrun import plan_blocks, sigma_tilde
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
 from hdts.util import sha256_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(path, extra=""):
@@ -81,6 +87,65 @@ def test_binary_trailing_bytes_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
+def _per_cell_csv(header, columns):
+    """The per-cell CSV formatter the columnar one replaced: %.17g for each
+    float cell, str for any other; a non-list column repeats on every row."""
+    n = next(len(col) for col in columns if isinstance(col, list))
+    cols = [col if isinstance(col, list) else [col] * n for col in columns]
+    lines = [",".join(header) + "\n"]
+    for row in zip(*cols):
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+    return "".join(lines)
+
+
+_FLOAT_CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                     -2.2250738585072e-308, np.float64(-0.0)]))
+_OTHER_CELLS = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 53, 2 ** 64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
+    st.text(st.sampled_from("ab{}:.!0x"), max_size=6),
+    st.sampled_from(["{", "}", "{}", "{0}", "{:.17g}", "}{"]))
+_ANY_CELL = st.one_of(_FLOAT_CELLS, _OTHER_CELLS)
+
+
+def _csv_columns(n):
+    column = st.one_of(st.lists(_FLOAT_CELLS, min_size=n, max_size=n),
+                       st.lists(_OTHER_CELLS, min_size=n, max_size=n),
+                       st.lists(_ANY_CELL, min_size=n, max_size=n),
+                       _ANY_CELL)
+    return st.tuples(st.lists(_ANY_CELL, min_size=n, max_size=n),
+                     st.lists(column, max_size=6)).map(lambda t: [t[0], *t[1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.integers(0, 8).flatmap(_csv_columns), first=st.integers(0, 6))
+@example(columns=[[1.5, 2.0], "x{0}}", 2 ** 60, [np.float64(-0.0), 7]], first=1)
+def test_columnar_csv_equals_per_cell_formatter(tmp_path_factory, columns, first):
+    # the list column may sit anywhere, after scalar columns too
+    columns.insert(min(first, len(columns)), columns.pop(0))
+    names = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    io.write_rows_csv(path, dict(zip(names, columns)))
+    assert path.read_text() == _per_cell_csv(names, columns)
+
+
+def test_array_csv_spanning_several_write_blocks(tmp_path):
+    # 1500 rows of 101 cells are formatted in three blocks of rows
+    data = RngContract(3).derive("io").generator().standard_normal((1500, 100))
+    data[::7, 3] = -0.0
+    io.write_panel_csv(tmp_path / "p.csv", data)
+    names = ["t"] + [f"x{j + 1}" for j in range(100)]
+    # compared as lists of lines, which pytest reports without a long text diff
+    assert (tmp_path / "p.csv").read_text().splitlines() == \
+        _per_cell_csv(names, [list(range(1, 1501)), *data.T.tolist()]).splitlines()
+    io.write_matrix_csv(tmp_path / "m.csv", data)
+    assert (tmp_path / "m.csv").read_text().splitlines() == \
+        _per_cell_csv(["x"], data.T.tolist()).splitlines()[1:]
+
+
 # ---------------------------------------------------------------------------
 # CLI behaviour
 # ---------------------------------------------------------------------------
@@ -89,6 +154,41 @@ def test_print_defaults(capsys):
     assert main(["--print-defaults"]) == 0
     out = capsys.readouterr().out
     assert "[process]" in out and "family = linear" in out
+
+
+def _run_fresh(argv, cwd):
+    """`hdts argv` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "hdts.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _output_bytes(base, suffix):
+    """Bytes of a run's CSV and sidecar, and its manifest without the time."""
+    man = json.loads(Path(f"{base}.manifest.json").read_text())
+    man.pop("created_utc")
+    return (Path(f"{base}.{suffix}.csv").read_bytes(),
+            Path(f"{base}.{suffix}.json").read_bytes(), man)
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    panel = tmp_path / "panel.bin"
+    spec = ProcessSpec("linear", p=3, alpha=1.0, K=10, h=1, rho=0.3)
+    io.write_array_binary(panel, simulate(spec, 120, RngContract(6)).data)
+    null = tmp_path / "null.csv"
+    io.write_matrix_csv(null, np.eye(3))
+    seeded = ["--seed", "5", "--threads", "2"]
+    # each second call leaves out the flags, global and own, of the one before
+    calls = [(seeded, "covtest", ["--null", str(null)]), ([], "covtest", []),
+             (seeded, "ci", ["--M", "5"]), ([], "ci", [])]
+    for i, (global_flags, command, flags) in enumerate(calls):
+        argv = [*global_flags, command, "--panel", str(panel), "--B", "1000", *flags]
+        # the same base name in two directories keeps the manifests comparable
+        assert main(argv + ["--out", str(tmp_path / "in" / str(i) / "r")]) == 0
+        fresh = _run_fresh(argv + ["--out", str(tmp_path / "fresh" / str(i) / "r")], tmp_path)
+        assert fresh.returncode == 0, fresh.stderr
+        assert _output_bytes(tmp_path / "in" / str(i) / "r", command) == \
+            _output_bytes(tmp_path / "fresh" / str(i) / "r", command)
 
 
 def test_simulate_matches_library_bit_exactly(tmp_path):
@@ -307,6 +407,20 @@ def test_non_finite_estimate_exit_code(tmp_path, capsys, first):
         assert (rc, json.loads(capsys.readouterr().err)["type"]) == (3, "numerical")
 
 
+@pytest.mark.parametrize("first", [[1e308] * 8, [1e308, 1e308, -1e308, -1e308] * 2],
+                         ids=["plus", "plus-minus"])
+@pytest.mark.parametrize("command", ["estimate", "ci", "covtest"])
+def test_overflow_stderr_is_one_json_body(tmp_path, command, first):
+    # numpy must not warn before the error body: stderr is exactly one JSON line
+    panel = tmp_path / "panel.bin"
+    io.write_array_binary(panel, np.column_stack([first, np.arange(1.0, 9.0)]))
+    out = _run_fresh([command, "--panel", str(panel), "--M", "2",
+                      "--out", str(tmp_path / "o")], tmp_path)
+    assert out.returncode == 3
+    assert out.stderr.count("\n") == 1
+    assert json.loads(out.stderr)["type"] == "numerical"
+
+
 @pytest.mark.parametrize("kind, key", [
     ("student-t", "df"), ("symmetric-pareto", "tail_index"), ("symmetric-pareto", "u0"),
 ])
@@ -522,7 +636,7 @@ def test_experiment_cli_matches_library(tmp_path, kind):
         res = rate_experiment(spec, [64, 128, 256], 6, RngContract(17), q=8.0)
     else:
         res = mdep_rate_check(spec, 8.0, spec.alpha, [2, 4, 8], 6, RngContract(17), n=128)
-    io.write_rows_csv(tmp_path / "lib.csv", res.rows)
+    io.write_rows_csv(tmp_path / "lib.csv", io.rows_to_columns(res.rows))
     assert (tmp_path / "out" / "report.csv").read_bytes() == \
         (tmp_path / "lib.csv").read_bytes()
 

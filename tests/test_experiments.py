@@ -298,5 +298,5 @@ def test_report_csv_text_equals_written_rows(tmp_path):
     rows = [{"n": 100, "kind": "ga", "ks": 0.1, "pvalue": float("nan")},
             {"n": np.int64(200), "kind": "ga", "ks": np.float64(1 / 3), "pvalue": 1e-300}]
     report = ExperimentReport(rows=rows, runtimes=[])
-    io.write_rows_csv(tmp_path / "r.csv", rows)
+    io.write_rows_csv(tmp_path / "r.csv", io.rows_to_columns(rows))
     assert (tmp_path / "r.csv").read_bytes() == io.rows_csv_text(report.rows).encode()
