@@ -307,7 +307,8 @@ def _run_ga(cfg, spec, R, rng, args):
                       n_perm=n_perm, threads=args.threads)
     rows = [{"n": res.n, "p": res.p, "R": res.R, "ks": res.ks,
              "pvalue": float("nan") if res.pvalue is None else res.pvalue}]
-    return rows, meta, [], [(f"ga_n{res.n}_p{res.p}", res.sample_stats, res.gauss_stats)]
+    cell = (f"ga_n{res.n}_p{res.p}", res.sample_stats, res.gauss_stats)
+    return rows, meta, res.runtimes, [cell]
 
 
 def _run_rate(cfg, spec, R, rng, args):
@@ -317,7 +318,7 @@ def _run_rate(cfg, spec, R, rng, args):
         threads=args.threads)
     meta = {"empirical_slope": res.empirical_slope,
             "theoretical_slope": res.theoretical_slope}
-    return res.rows, meta, [], []
+    return res.rows, meta, res.runtimes, []
 
 
 def _run_mdep(cfg, spec, R, rng, args):
@@ -326,7 +327,7 @@ def _run_mdep(cfg, spec, R, rng, args):
         _get(cfg, "experiment", "m_grid", _int_list, "integer list"),
         R, rng, n=_get(cfg, "experiment", "n", int, "integer"),
         threads=args.threads)
-    return res.rows, {"slope": res.slope, "target_slope": res.target_slope}, [], []
+    return res.rows, {"slope": res.slope, "target_slope": res.target_slope}, res.runtimes, []
 
 
 def _run_counterexample(cfg, spec, R, rng, args):
@@ -338,7 +339,7 @@ def _run_counterexample(cfg, spec, R, rng, args):
         threads=args.threads)
     cells = [(f"ctrex_p{p_val}", samp, gauss)
              for p_val, (samp, gauss) in res.samples.items()]
-    return res.rows, {}, [], cells
+    return res.rows, {}, res.runtimes, cells
 
 
 _EXPERIMENTS = {

@@ -17,6 +17,7 @@ depmeasure's coupled sampler.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +39,14 @@ def n_pairs(p: int) -> int:
     return p * (p + 1) // 2
 
 
+@functools.lru_cache(maxsize=16)
 def pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(j, k) arrays of the upper-triangular layout, flat index order."""
-    return np.triu_indices(p)
+    """(j, k) arrays of the upper-triangular layout, flat index order; built
+    once per p and shared by every caller, so both are read-only."""
+    js, ks = np.triu_indices(p)
+    js.setflags(write=False)
+    ks.setflags(write=False)
+    return js, ks
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ runs over 0, 1, 2, ...; Delta[m, j] = sum_{i >= m} delta[i, j].
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -180,13 +180,17 @@ def _coord_scale(spec: ProcessSpec, order: float) -> np.ndarray:
     return spec.innovation.diff_norm(order) * np.linalg.norm(spec.cross_mixer(), axis=1)
 
 
-def _aggregate(Delta: np.ndarray, Omega: np.ndarray, q: float, alpha: float):
-    """(coord_norms, Psi, Upsilon, sup_norm, Theta) from the tail sums."""
+def _coord_aggregate(Delta: np.ndarray, q: float, alpha: float):
+    """(coord_norms, Psi, Upsilon) from the per-coordinate tail sums."""
     coord_norms = adjusted_norms(Delta, alpha)
     Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
+    return coord_norms, float(np.max(coord_norms)), Upsilon
+
+
+def _linf_aggregate(Omega: np.ndarray, Upsilon: float, alpha: float, p: int):
+    """(sup_norm, Theta) from the tail sums of the L^inf measure."""
     sup_norm = adjusted_norm(Omega, alpha)
-    Theta = min(Upsilon, sup_norm * math.log(Delta.shape[1]))
-    return coord_norms, float(np.max(coord_norms)), Upsilon, sup_norm, Theta
+    return sup_norm, min(Upsilon, sup_norm * math.log(p))
 
 
 def _check_order(q: float) -> None:
@@ -223,17 +227,9 @@ def _sup_q_scaling(nu: float) -> float:
     return 2.0 ** -nu
 
 
-def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
-                        nu: float | None = None) -> DependenceProfile:
-    """Exact dependence profile for iid/linear specs with Gaussian or
-    student-t innovations.
-
-    Gaussian innovations admit closed forms for every linear combination;
-    student-t is supported for h = 0 (single-coordinate rows), with the
-    coupling moment computed by quadrature.  The L^inf measures omega use
-    quadrature when the cross-section is independent and Monte Carlo
-    (10^5 draws from RngContract(0), standard error recorded) otherwise.
-    """
+def _delta_profile(spec: ProcessSpec, q: float, alpha: float) -> DependenceProfile:
+    """closed_form_profile without its L^inf measures (sup_norm and Theta
+    NaN, omega and Phi unset), which theoretical_rate without nu never reads."""
     _check_order(q)
     if not math.isfinite(alpha):
         raise ValidationError(f"need a finite alpha, got {alpha}")
@@ -252,18 +248,47 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
             raise ValidationError(
                 f"student-t(df={law.df}) has no finite moment of order {q}")
 
-    p = spec.p
     c = spec.lag_weights()                       # (K+1,), [1.0] for iid
-    B = spec.cross_mixer()
-
     kappa = _coord_scale(spec, q)
     delta = c[:, None] * kappa[None, :]
     Delta = _tail_sums(delta)
+    coord_norms, Psi, Upsilon = _coord_aggregate(Delta, q, alpha)
+
+    # uniform norms at auxiliary orders; s_a = sup_m (m+1)^a sum_{i>=m} c_i
+    tail_c = _tail_sums(c)
+    aux = AuxNorms()
+    for order in _AUX_NAMES:
+        if law.admits_moment(order):
+            k_max = np.max(_coord_scale(spec, order))
+            _set_aux(aux, order, float(k_max * adjusted_norm(tail_c, 0.0)),
+                     float(k_max * adjusted_norm(tail_c, alpha)))
+
+    return DependenceProfile(
+        q=q, alpha=alpha, p=spec.p, Psi=Psi, Upsilon=Upsilon, sup_norm=math.nan,
+        Theta=math.nan, delta=delta, Delta=Delta, coord_norms=coord_norms, aux=aux,
+        source={"kind": "closed-form"})
+
+
+def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
+                        nu: float | None = None) -> DependenceProfile:
+    """Exact dependence profile for iid/linear specs with Gaussian or
+    student-t innovations.
+
+    Gaussian innovations admit closed forms for every linear combination;
+    student-t is supported for h = 0 (single-coordinate rows), with the
+    coupling moment computed by quadrature.  The L^inf measures omega use
+    quadrature when the cross-section is independent and Monte Carlo
+    (10^5 draws from RngContract(0), standard error recorded) otherwise.
+    """
+    profile = _delta_profile(spec, q, alpha)
+    law, p = spec.innovation, spec.p
+    c = spec.lag_weights()
+    B = spec.cross_mixer()
 
     omega_se = None
-    source: dict = {"kind": "closed-form"}
+    source = profile.source                      # fresh dict, filled in here
     if p == 1:
-        omega_base = float(kappa[0])
+        omega_base = float(profile.delta[0, 0])  # kappa_1, as c_0 = 1
         source["omega"] = "scalar"
     elif law.kind == "standard-gaussian" and spec.h == 0:
         omega_base = math.sqrt(2.0) * gaussian_maxabs_moment_root(p, q)
@@ -283,16 +308,7 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
 
     omega = omega_base * c
     Omega = _tail_sums(omega)
-    coord_norms, Psi, Upsilon, sup_norm, Theta = _aggregate(Delta, Omega, q, alpha)
-
-    # uniform norms at auxiliary orders; s_a = sup_m (m+1)^a sum_{i>=m} c_i
-    tail_c = _tail_sums(c)
-    s_of = lambda a: adjusted_norm(tail_c, a)
-    aux = AuxNorms()
-    for order in _AUX_NAMES:
-        if law.admits_moment(order):
-            k_max = np.max(_coord_scale(spec, order))
-            _set_aux(aux, order, float(k_max * s_of(0.0)), float(k_max * s_of(alpha)))
+    sup_norm, Theta = _linf_aggregate(Omega, profile.Upsilon, alpha, p)
 
     Phi = Phi_0 = None
     if nu is not None:
@@ -302,14 +318,12 @@ def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
                 "Gaussian innovations")
         g = _sup_q_scaling(nu)
         b_max = np.max(np.linalg.norm(B, axis=1))
-        Phi = float(math.sqrt(2.0) * b_max * s_of(alpha) * g)
-        Phi_0 = float(math.sqrt(2.0) * b_max * s_of(0.0) * g)
+        tail_c = _tail_sums(c)
+        Phi = float(math.sqrt(2.0) * b_max * adjusted_norm(tail_c, alpha) * g)
+        Phi_0 = float(math.sqrt(2.0) * b_max * adjusted_norm(tail_c, 0.0) * g)
 
-    return DependenceProfile(
-        q=q, alpha=alpha, p=p, Psi=Psi, Upsilon=Upsilon, sup_norm=sup_norm,
-        Theta=Theta, delta=delta, Delta=Delta, coord_norms=coord_norms,
-        omega=omega, Omega=Omega, Phi=Phi, Phi_0=Phi_0, nu=nu, aux=aux,
-        omega_se=omega_se, source=source)
+    return replace(profile, sup_norm=sup_norm, Theta=Theta, omega=omega, Omega=Omega,
+                   Phi=Phi, Phi_0=Phi_0, nu=nu, omega_se=omega_se)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +408,8 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
         source["tail"] = "extrapolated-from-lag-0"
     Delta = tail_sums(delta, kappa)
     Omega = tail_sums(omega)
-    coord_norms, Psi, Upsilon, sup_norm, Theta = _aggregate(Delta, Omega, q, alpha)
+    coord_norms, Psi, Upsilon = _coord_aggregate(Delta, q, alpha)
+    sup_norm, Theta = _linf_aggregate(Omega, Upsilon, alpha, p)
 
     aux = AuxNorms()
     for order in _AUX_NAMES:

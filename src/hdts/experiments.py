@@ -1,9 +1,11 @@
 """Monte Carlo harness: Gaussian-approximation quality, CI coverage,
 estimator rates, m-dependence decay, and the heavy-tail failure regime.
 
-Every experiment derives per-replication streams from its base seed, so
-reports are bit-reproducible for a fixed configuration regardless of the
-number of worker threads.
+Every kind runs its replications through one driver, `_replicate`, which
+times each cell (`runtimes` on every result).  Cell streams are derived
+with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`; replication r
+of the single-cell kinds derives `ga-panel` or `mdep-panel`.  Reports are
+bit-reproducible for a fixed configuration whatever the thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .gboot import psd_sqrt, simultaneous_ci
 from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
-from .depmeasure import _check_order, closed_form_profile
+from .depmeasure import _check_order, _delta_profile
 from .model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
                     gaussian_abs_moment_root, lag_sum_weights, simulate)
 from .rng import RngContract
@@ -59,6 +61,22 @@ def ks_permutation_pvalue(x, y, n_perm: int, rng: RngContract) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Replication driver
+# ---------------------------------------------------------------------------
+
+def _replicate(cells, one_rep, R: int, threads: int) -> tuple[list[list], list[float]]:
+    """Outputs and seconds per cell: one run_indexed call of one_rep(cell, r),
+    r < R, per cell, timed with perf_counter.  run_indexed is looked up in
+    this module's globals on every call, so a wrapper put there sees it."""
+    outputs, runtimes = [], []
+    for cell in cells:
+        t0 = time.perf_counter()
+        outputs.append(run_indexed(lambda r: one_rep(cell, r), R, threads))
+        runtimes.append(time.perf_counter() - t0)
+    return outputs, runtimes
+
+
+# ---------------------------------------------------------------------------
 # Gaussian-approximation distance
 # ---------------------------------------------------------------------------
 
@@ -71,6 +89,7 @@ class GaDistanceResult:
     R: int
     sample_stats: np.ndarray     # |D0^{-1} S_n|_inf / sqrt(n) per replication
     gauss_stats: np.ndarray      # |D0^{-1} Z|_inf draws
+    runtimes: list[float]        # seconds per cell (one cell)
 
 
 def mc_long_run_sigma(spec: ProcessSpec, length: int = 10 ** 6,
@@ -108,11 +127,12 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     if np.min(d0) <= 0:
         raise ValidationError("Sigma has a degenerate diagonal")
 
-    def one_rep(r: int) -> float:
-        s = column_sums(spec, n, rng.derive("ga-panel", r))
+    def one_rep(cell: RngContract, r: int) -> float:
+        s = column_sums(spec, n, cell.derive("ga-panel", r))
         return float(np.max(np.abs(s) / d0) / math.sqrt(n))
 
-    sample_stats = np.array(run_indexed(one_rep, R, threads))
+    (out,), runtimes = _replicate([rng], one_rep, R, threads)
+    sample_stats = np.array(out)
     root = psd_sqrt(sigma)
     eta = rng.derive("ga-gauss").generator().standard_normal((R, sigma.shape[0]))
     gauss_stats = np.max(np.abs(eta @ root.T) / d0, axis=1)
@@ -120,7 +140,8 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     pval = ks_permutation_pvalue(sample_stats, gauss_stats, n_perm, rng) \
         if n_perm > 0 else None
     return GaDistanceResult(ks=ks, pvalue=pval, n=n, p=spec.p, R=R,
-                            sample_stats=sample_stats, gauss_stats=gauss_stats)
+                            sample_stats=sample_stats, gauss_stats=gauss_stats,
+                            runtimes=runtimes)
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +190,26 @@ class ExperimentReport:
 
 def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Empirical simultaneous coverage of the zero mean vector per grid cell."""
-    rows = []
-    runtimes = []
     base = RngContract(config.base_seed)
-    for ci_idx, (n, p, M, theta) in enumerate(config.cells()):
-        spec = replace(config.spec, p=p)
-        t0 = time.perf_counter()
+    cells = [(n, replace(config.spec, p=p), M, theta, base.derive("coverage-cell", ci))
+             for ci, (n, p, M, theta) in enumerate(config.cells())]
 
-        def one_rep(r: int, _spec=spec, _n=n, _M=M, _theta=theta,
-                    _cell=base.derive("coverage-cell", ci_idx)):
-            panel = simulate(_spec, _n, _cell.derive("panel", r))
-            report = simultaneous_ci(panel, _theta, _M, config.B, _cell.derive("boot", r))
-            return report.covers(np.zeros(_spec.p)), float(np.median(report.half_widths()))
+    def one_rep(cell, r: int):
+        n, spec, M, theta, stream = cell
+        panel = simulate(spec, n, stream.derive("panel", r))
+        report = simultaneous_ci(panel, theta, M, config.B, stream.derive("boot", r))
+        return report.covers(np.zeros(spec.p)), float(np.median(report.half_widths()))
 
-        out = run_indexed(one_rep, config.R, config.threads)
-        covered = np.array([o[0] for o in out], dtype=float)
-        widths = np.array([o[1] for o in out])
-        cov = float(covered.mean())
+    outputs, runtimes = _replicate(cells, one_rep, config.R, config.threads)
+    rows = []
+    for (n, spec, M, theta, _), out in zip(cells, outputs):
+        cov = float(np.mean([o[0] for o in out], dtype=float))
         rows.append({
-            "n": n, "p": p, "M": 0 if M is None else M, "theta": theta,
+            "n": n, "p": spec.p, "M": 0 if M is None else M, "theta": theta,
             "R": config.R, "B": config.B, "coverage": cov,
             "coverage_se": float(math.sqrt(cov * (1.0 - cov) / config.R)),
-            "median_halfwidth": float(np.median(widths)),
+            "median_halfwidth": float(np.median([o[1] for o in out])),
         })
-        runtimes.append(time.perf_counter() - t0)
     return ExperimentReport(rows=rows, runtimes=runtimes)
 
 
@@ -207,6 +224,7 @@ class RateResult:
     empirical_slope: float
     theoretical_slope: float
     rows: list[dict]
+    runtimes: list[float]        # seconds per n-grid cell
 
 
 def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
@@ -222,27 +240,24 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
     if R < 1:
         raise ValidationError(f"rate_experiment needs R >= 1 replications, got {R}")
     sigma = true_sigma(spec)
-    profile = closed_form_profile(spec, q, spec.alpha)
-    med = np.empty(len(n_grid))
-    rn = np.empty(len(n_grid))
-    rows = []
-    for gi, n in enumerate(n_grid):
-        plan = plan_blocks(n, M_rule(n) if M_rule is not None else None)
-        M = plan.M
+    profile = _delta_profile(spec, q, spec.alpha)
+    cells = [(plan_blocks(n, M_rule(n) if M_rule is not None else None),
+              rng.derive("rate-cell", gi)) for gi, n in enumerate(n_grid)]
 
-        def one_rep(r: int, _n=n, _plan=plan, _cell=rng.derive("rate-cell", gi)):
-            panel = simulate(spec, _n, _cell.derive("rate-panel", r))
-            est = sigma_tilde(panel, _plan)
-            return float(np.max(np.abs(est.sigma - sigma)))
+    def one_rep(cell, r: int) -> float:
+        plan, stream = cell
+        panel = simulate(spec, plan.n, stream.derive("rate-panel", r))
+        return float(np.max(np.abs(sigma_tilde(panel, plan).sigma - sigma)))
 
-        errs = np.array(run_indexed(one_rep, R, threads))
-        med[gi] = float(np.median(errs))
-        rn[gi] = theoretical_rate(profile, n, M).r_n
-        rows.append({"n": n, "M": M, "median_err": med[gi], "r_n": rn[gi], "R": R})
-    emp = fit_loglog_slope(n_grid, med)
-    theo = fit_loglog_slope(n_grid, rn)
+    rn = np.array([theoretical_rate(profile, plan.n, plan.M).r_n for plan, _ in cells])
+    outputs, runtimes = _replicate(cells, one_rep, R, threads)
+    med = np.array([np.median(errs) for errs in outputs])
+    rows = [{"n": n, "M": plan.M, "median_err": med[gi], "r_n": rn[gi], "R": R}
+            for gi, (n, (plan, _)) in enumerate(zip(n_grid, cells))]
     return RateResult(median_err=med, r_n=rn,
-                      empirical_slope=emp, theoretical_slope=theo, rows=rows)
+                      empirical_slope=fit_loglog_slope(n_grid, med),
+                      theoretical_slope=fit_loglog_slope(n_grid, rn),
+                      rows=rows, runtimes=runtimes)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +294,7 @@ class MdepResult:
     slope: float
     target_slope: float
     rows: list[dict]
+    runtimes: list[float]        # seconds per cell (one cell)
 
 
 def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
@@ -305,11 +321,12 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
         / math.sqrt(n)
     W = np.stack([lag_sum_weights(spec, n, m + 1) for m in m_grid])   # (|grid|, n+K)
 
-    def one_rep(r: int) -> np.ndarray:
-        eps = _draw_innovations(spec, n, rng.derive("mdep-panel", r)).values
+    def one_rep(cell: RngContract, r: int) -> np.ndarray:
+        eps = _draw_innovations(spec, n, cell.derive("mdep-panel", r)).values
         return _lag_sums(spec, eps, W, n)[0]
 
-    diffs = np.stack(run_indexed(one_rep, R, threads))       # (R, |grid|, p)
+    (out,), runtimes = _replicate([rng], one_rep, R, threads)
+    diffs = np.stack(out)                                     # (R, |grid|, p)
     mom = np.mean(np.abs(diffs) ** q, axis=0)
     norms = mom ** (1.0 / q) / math.sqrt(n)
     # delta-method SE of the q-th root of the moment, per (m, j)
@@ -325,7 +342,8 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
     rows = [{"m": m, "mc_norm": float(mc[i]), "oracle_norm": float(oracle[i]),
              "mc_se": float(se[i])} for i, m in enumerate(m_grid)]
     return MdepResult(mc_norm=mc, oracle_norm=oracle, mc_se=se,
-                      slope=slope, target_slope=-alpha, rows=rows)
+                      slope=slope, target_slope=-alpha, rows=rows,
+                      runtimes=runtimes)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +354,7 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
 class CounterexampleResult:
     rows: list[dict]
     samples: dict                # p -> (sample_stats, gauss_stats)
+    runtimes: list[float]        # seconds per p-grid cell
 
 
 def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
@@ -356,18 +375,19 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
     if tail_index <= 2:
         raise ValidationError(f"tail index must exceed 2, got {tail_index}")
     law = InnovationLaw.symmetric_pareto(tail_index, body=body)
+    cells = [(ProcessSpec("iid", p=p, innovation=law), math.sqrt(2.0 * math.log(p)),
+              rng.derive("ctrex-cell", pi)) for pi, p in enumerate(p_grid)]
+
+    def one_rep(cell, r: int):
+        spec, u, stream = cell
+        s = column_sums(spec, n, stream.derive("ctrex-panel", r))
+        stats = np.abs(s) / math.sqrt(n)
+        return float(np.max(stats)), int(np.sum(stats >= u))
+
+    outputs, runtimes = _replicate(cells, one_rep, R, threads)
     rows = []
     samples = {}
-    for pi, p in enumerate(p_grid):
-        spec = ProcessSpec("iid", p=p, innovation=law)
-        u = math.sqrt(2.0 * math.log(p))
-
-        def one_rep(r: int, _spec=spec, _cell=rng.derive("ctrex-cell", pi), _u=u):
-            s = column_sums(_spec, n, _cell.derive("ctrex-panel", r))
-            stats = np.abs(s) / math.sqrt(n)
-            return float(np.max(stats)), int(np.sum(stats >= _u))
-
-        out = run_indexed(one_rep, R, threads)
+    for pi, (p, (_, u, _), out) in enumerate(zip(p_grid, cells, outputs)):
         sample_stats = np.array([o[0] for o in out])
         tail_hits = sum(o[1] for o in out)
         eta = rng.derive("ctrex-gauss", pi).generator().standard_normal((R, p))
@@ -380,7 +400,7 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
             "p_tail_gauss": p * 2.0 * float(norm.sf(u)),
         })
         samples[p] = (sample_stats, gauss_stats)
-    return CounterexampleResult(rows=rows, samples=samples)
+    return CounterexampleResult(rows=rows, samples=samples, runtimes=runtimes)
 
 
 def ecdf_dump_rows(sample, gauss) -> list[dict]:

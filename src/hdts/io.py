@@ -18,6 +18,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from io import TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +76,19 @@ def write_array_binary(path, arr: np.ndarray) -> None:
 
 def read_array_binary(path) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = f.read(5)
-        if magic != MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise ValidationError(f"{path}: truncated header")
-        rows, cols = struct.unpack("<QQ", header)
-        payload = f.read()
+        return _read_binary(path, f)
+
+
+def _read_binary(path, f) -> np.ndarray:
+    """The array of an HDTS1 file from its open binary handle."""
+    magic = f.read(5)
+    if magic != MAGIC:
+        raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    header = f.read(16)
+    if len(header) != 16:
+        raise ValidationError(f"{path}: truncated header")
+    rows, cols = struct.unpack("<QQ", header)
+    payload = f.read()
     if len(payload) < rows * cols * 8:
         raise ValidationError(f"{path}: truncated payload")
     if len(payload) > rows * cols * 8:
@@ -147,14 +153,6 @@ def _parse_rows(path, lines, first_line: int, skip: int,
     return np.array(rows, dtype=float).reshape(len(rows), width or 0)
 
 
-def read_panel_csv(path) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ValidationError(f"{path}: expected a panel CSV with header t,x1..xp")
-        return _parse_rows(path, f, 2, 1, len(header) - 1)
-
-
 def write_matrix_csv(path, arr: np.ndarray) -> None:
     _write_array_csv(path, arr)
 
@@ -165,10 +163,18 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def read_panel_any(path) -> np.ndarray:
-    """Panel from either container, detected by the magic bytes."""
+    """Panel from an HDTS1 file, detected by its magic bytes, or else from a
+    CSV with the header t,x1..xp; the file is opened once."""
     with open(path, "rb") as f:
-        head = f.read(5)
-    return read_array_binary(path) if head == MAGIC else read_panel_csv(path)
+        binary = f.read(5) == MAGIC
+        f.seek(0)
+        if binary:
+            return _read_binary(path, f)
+        lines = TextIOWrapper(f)
+        header = lines.readline().strip().split(",")
+        if not header or header[0] != "t":
+            raise ValidationError(f"{path}: expected a panel CSV with header t,x1..xp")
+        return _parse_rows(path, lines, 2, 1, len(header) - 1)
 
 
 def rows_to_columns(rows: list[dict]) -> dict:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -64,7 +65,7 @@ def test_panel_csv_round_trip(tmp_path_factory, arr):
     io.write_panel_csv(path, arr)
     assert path.read_text().splitlines()[0] == \
         "t," + ",".join(f"x{j + 1}" for j in range(arr.shape[1]))
-    assert _same_bits(io.read_panel_csv(path), arr)  # %.17g round-trips
+    assert _same_bits(io.read_panel_any(path), arr)  # %.17g round-trips
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,6 +86,38 @@ def test_binary_trailing_bytes_rejected(tmp_path, capsys):
         io.read_array_binary(path)
     assert main(["ci", "--panel", str(path), "--out", str(tmp_path / "c")]) == 2
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_read_panel_any_opens_the_file_once(tmp_path, capsys, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open, raising=False)
+    arr = np.array([[0.5, -1.0], [2.0, 3.25], [-0.125, 1e-300]])
+    csv_path = tmp_path / "x.csv"
+    io.write_panel_csv(csv_path, arr)
+    crlf_path = tmp_path / "crlf.csv"
+    crlf_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
+    bin_path = tmp_path / "x.bin"
+    io.write_array_binary(bin_path, arr)
+    for path in (csv_path, crlf_path, bin_path):
+        opened.clear()
+        assert _same_bits(io.read_panel_any(path), arr)
+        assert opened == [path]
+    assert csv_path.read_bytes()[:5] != io.MAGIC
+    # an HDTS1 file cut in its header or in its payload exits 2
+    full = bin_path.read_bytes()
+    for cut, what in ((12, "truncated header"), (len(full) - 3, "truncated payload")):
+        bad = tmp_path / f"cut{cut}.bin"
+        bad.write_bytes(full[:cut])
+        with pytest.raises(ValidationError, match=what):
+            io.read_panel_any(bad)
+        assert main(["ci", "--panel", str(bad), "--out", str(tmp_path / "c")]) == 2
+        body = json.loads(capsys.readouterr().err)
+        assert body["type"] == "validation" and what in body["error"]
 
 
 def _per_cell_csv(header, columns):
@@ -199,7 +232,7 @@ def test_simulate_matches_library_bit_exactly(tmp_path):
     spec = ProcessSpec("linear", p=5, alpha=1.0, K=200, h=0, rho=0.0)
     want = simulate(spec, 1000, RngContract(9)).data
     assert np.array_equal(io.read_array_binary(out.with_suffix(".bin")), want)
-    assert np.array_equal(io.read_panel_csv(out.with_suffix(".csv")), want)
+    assert np.array_equal(io.read_panel_any(out.with_suffix(".csv")), want)
     manifest = json.loads((out.parent / "panel.manifest.json").read_text())
     assert set(manifest["outputs"]) == {"panel.csv", "panel.bin"}
 
@@ -453,21 +486,42 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "n_gird" in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_experiment_cli_reproducible_across_threads(tmp_path):
-    body = DEFAULT_CONFIG.replace("family = linear", "family = iid") \
-                         .replace("kind = coverage", "kind = ga") \
-                         .replace("R = 200", "R = 150") \
-                         .replace("n = 500", "n = 100") \
-                         .replace("p = 20", "p = 4")
+# kind -> (tiny config over the defaults, number of cells)
+_TINY_EXPERIMENTS = {
+    "coverage": ("[process]\np = 4\nK = 20\n[experiment]\nkind = coverage\nR = 200\n"
+                 "B = 1000\nn = 100\np = 4\nM = 0,2\ntheta = 0.9,0.95\n", 4),
+    "ga": ("[process]\nfamily = iid\np = 4\n[experiment]\nkind = ga\nR = 150\n"
+           "n = 100\nn_perm = 50\n", 1),
+    "rate": ("[process]\np = 4\nK = 20\nh = 1\n[experiment]\nkind = rate\nR = 6\n"
+             "n_grid = 64,128,256\n", 3),
+    "mdep": ("[process]\np = 4\nK = 20\n[experiment]\nkind = mdep\nR = 6\nn = 128\n"
+             "m_grid = 2,4,8\n", 1),
+    "counterexample": ("[experiment]\nkind = counterexample\nR = 20\nn = 64\n"
+                       "p_grid = 4,16\n", 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TINY_EXPERIMENTS))
+def test_experiment_cli_reproducible_across_threads(tmp_path, kind):
+    body, n_cells = _TINY_EXPERIMENTS[kind]
     cfg = tmp_path / "exp.ini"
     cfg.write_text(body)
-    texts = []
-    for threads, name in (("1", "d1"), ("8", "d8")):
+    outs = []
+    for threads in ("1", "8"):
+        out_dir = tmp_path / f"d{threads}"
         assert main(["--seed", "21", "--threads", threads, "experiment",
-                     "--config", str(cfg), "--out-dir",
-                     str(tmp_path / name)]) == 0
-        texts.append((tmp_path / name / "report.csv").read_bytes())
-    assert texts[0] == texts[1]
+                     "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--dump-ecdf"]) == 0
+        meta = json.loads((out_dir / "report.meta.json").read_text())
+        runtimes = meta["cell_runtimes_sec"]
+        assert len(runtimes) == n_cells
+        assert all(math.isfinite(t) and t >= 0.0 for t in runtimes)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()
+                 if p.name == "report.csv" or p.name.endswith(".ecdf.csv")}
+        outs.append((files, meta["meta"]))
+    assert outs[0] == outs[1]
+    ecdfs = [name for name in outs[0][0] if name.endswith(".ecdf.csv")]
+    assert len(ecdfs) == {"ga": 1, "counterexample": 2}.get(kind, 0)
 
 
 def test_experiment_unknown_kind(tmp_path, capsys):

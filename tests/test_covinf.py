@@ -28,6 +28,15 @@ def test_pair_layout_p2():
     assert n_pairs(2) == 3
 
 
+def test_pair_indices_are_shared_and_read_only():
+    js, ks = pair_indices(3)
+    assert pair_indices(3)[0] is js
+    for arr in (js, ks):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert list(zip(js, ks)) == list(zip(*np.triu_indices(3)))
+
+
 # ---------------------------------------------------------------------------
 # product panel
 # ---------------------------------------------------------------------------

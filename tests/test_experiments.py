@@ -275,7 +275,10 @@ def test_counterexample_guards_and_diagnostics():
     (lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 2, rng),
      "simulate"),
     (lambda rng: counterexample_demo(4.0, 16, [2, 4], 2, rng), "column_sums"),
-], ids=["rate", "counterexample"])
+    (lambda rng: coverage_experiment(ExperimentConfig(
+        spec=ProcessSpec("iid", p=2), R=200, B=1000, base_seed=71,
+        n_list=[40], theta_list=[0.9, 0.95])), "simulate"),
+], ids=["rate", "counterexample", "coverage"])
 def test_replication_streams_are_distinct_across_cells(monkeypatch, run, drawer):
     import hdts.experiments as ex
     draw, seen = getattr(ex, drawer), []

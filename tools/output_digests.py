@@ -4,7 +4,9 @@ small shapes, for checking that a change keeps every output byte.
 Runs, in process and into a temporary directory, at --threads 1 and 2:
 `simulate` (a linear and a threshold-AR panel), `estimate`, `ci`,
 `covtest` with and without `--null`, `check-conditions --out`, and
-`experiment` for all five kinds with `--dump-ecdf`.  Prints one line per
+`experiment` for all five kinds with `--dump-ecdf` (`rate` twice: at
+h = 0, and at h = 2, where the closed-form profile would draw its
+Monte Carlo omega).  Prints one line per
 output, `<sha256>  t<threads>/<file>`.  Manifests are hashed with
 `created_utc` dropped and `report.meta.json` with `cell_runtimes_sec`
 dropped, since those hold wall-clock values.
@@ -42,6 +44,8 @@ CONFIGS = {
           "n_perm = 50\n",
     "rate": "[process]\np = 4\nK = 20\n[experiment]\nkind = rate\nR = 6\n"
             "n_grid = 64,128,256\n",
+    "rate-h2": "[process]\np = 4\nK = 20\nh = 2\nrho = 0.5\n[experiment]\nkind = rate\n"
+               "R = 6\nn_grid = 64,128,256\n",
     "mdep": "[process]\np = 4\nK = 20\n[experiment]\nkind = mdep\nR = 6\nn = 128\n"
             "m_grid = 2,4,8\n",
     "counterexample": "[experiment]\nkind = counterexample\nR = 20\nn = 64\n"
@@ -74,7 +78,7 @@ def runs(d: Path, threads: int) -> list[list[str]]:
                  "--null", str(d / "null.csv"), "--out", str(d / "lin-ctnull")],
             g + ["check-conditions", "--config", cfg["lin"], "--n", "4096",
                  "--out", str(d / "cc.json")]]
-    for kind in ("coverage", "ga", "rate", "mdep", "counterexample"):
+    for kind in ("coverage", "ga", "rate", "rate-h2", "mdep", "counterexample"):
         out.append(g + ["experiment", "--config", cfg[kind],
                         "--out-dir", str(d / f"exp-{kind}"), "--dump-ecdf"])
     return out
