@@ -2,10 +2,16 @@
 estimator rates, m-dependence decay, and the heavy-tail failure regime.
 
 Every kind runs its replications through one driver, `_replicate`, which
-times each cell (`runtimes` on every result).  Cell streams are derived
-with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`; replication r
-of the single-cell kinds derives `ga-panel` or `mdep-panel`.  Reports are
-bit-reproducible for a fixed configuration whatever the thread count.
+times each cell (`runtimes` on every result).  It makes one run_indexed
+call per cell and one replication call per index; run_indexed hands each
+thread runs of consecutive replications, and a kind may ask once per run
+for inputs those replications share.  `coverage`, and `ga` on threshold-AR,
+do so: a run's panels come from one model.simulate_many call, which steps
+threshold-AR paths in stacks within model.STACK_BYTES.  Cell streams are
+derived with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`;
+replication r of the single-cell kinds derives `ga-panel` or `mdep-panel`.
+Reports are bit-reproducible for a fixed configuration whatever the thread
+count.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from .gboot import psd_sqrt, simultaneous_ci
 from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
 from .depmeasure import _check_order, _delta_profile
 from .model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
-                    gaussian_abs_moment_root, lag_sum_weights, simulate)
+                    gaussian_abs_moment_root, lag_sum_weights, simulate, simulate_many)
 from .rng import RngContract
-from .util import fit_loglog_slope, run_indexed
+from .util import RUN, fit_loglog_slope, run_indexed
 
 TOOL_VERSION = "0.1.0"
 
@@ -64,16 +70,43 @@ def ks_permutation_pvalue(x, y, n_perm: int, rng: RngContract) -> float:
 # Replication driver
 # ---------------------------------------------------------------------------
 
-def _replicate(cells, one_rep, R: int, threads: int) -> tuple[list[list], list[float]]:
-    """Outputs and seconds per cell: one run_indexed call of one_rep(cell, r),
-    r < R, per cell, timed with perf_counter.  run_indexed is looked up in
-    this module's globals on every call, so a wrapper put there sees it."""
+def _replicate(cells, one_rep, R: int, threads: int,
+               inputs=None) -> tuple[list[list], list[float]]:
+    """Outputs and seconds per cell: one run_indexed call per cell, with one
+    call of one_rep(cell, r) per replication r < R, timed with
+    perf_counter.  run_indexed is looked up in this module's globals on
+    every call, so a wrapper put there sees it.
+
+    With inputs, the replications of a run (RUN consecutive ones on one
+    thread) share work: the first asks inputs(cell, range(r, end of run))
+    once for an iterator, and replication r calls one_rep(cell, r, its
+    item).  A replication out of run order starts a new iterator, so the
+    outputs never depend on the order of the calls.
+    """
     outputs, runtimes = [], []
     for cell in cells:
         t0 = time.perf_counter()
-        outputs.append(run_indexed(lambda r: one_rep(cell, r), R, threads))
+        outputs.append(run_indexed(_per_replication(cell, one_rep, R, inputs), R, threads))
         runtimes.append(time.perf_counter() - t0)
     return outputs, runtimes
+
+
+def _per_replication(cell, one_rep, R: int, inputs):
+    if inputs is None:
+        return lambda r: one_rep(cell, r)
+    live = {}                    # run start -> (next replication, its inputs)
+
+    def rep(r: int):
+        start = r - r % RUN
+        stop = min(start + RUN, R)
+        expected, it = live.pop(start, (None, None))
+        if expected != r:
+            it = iter(inputs(cell, range(r, stop)))
+        item = next(it)
+        if r + 1 < stop:         # handed back only once this call is done with it
+            live[start] = (r + 1, it)
+        return one_rep(cell, r, item)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +160,16 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     if np.min(d0) <= 0:
         raise ValidationError("Sigma has a degenerate diagonal")
 
-    def one_rep(cell: RngContract, r: int) -> float:
-        s = column_sums(spec, n, cell.derive("ga-panel", r))
+    def sums(cell: RngContract, rs: range):
+        streams = [cell.derive("ga-panel", r) for r in rs]
+        if spec.family == "threshold-ar":   # stacked panels, summed as column_sums sums one
+            return (panel.data.sum(axis=0) for panel in simulate_many(spec, n, streams))
+        return (column_sums(spec, n, s) for s in streams)
+
+    def one_rep(cell: RngContract, r: int, s: np.ndarray) -> float:
         return float(np.max(np.abs(s) / d0) / math.sqrt(n))
 
-    (out,), runtimes = _replicate([rng], one_rep, R, threads)
+    (out,), runtimes = _replicate([rng], one_rep, R, threads, sums)
     sample_stats = np.array(out)
     root = psd_sqrt(sigma)
     eta = rng.derive("ga-gauss").generator().standard_normal((R, sigma.shape[0]))
@@ -194,13 +232,16 @@ def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
     cells = [(n, replace(config.spec, p=p), M, theta, base.derive("coverage-cell", ci))
              for ci, (n, p, M, theta) in enumerate(config.cells())]
 
-    def one_rep(cell, r: int):
-        n, spec, M, theta, stream = cell
-        panel = simulate(spec, n, stream.derive("panel", r))
+    def panels(cell, rs: range):
+        n, spec, _, _, stream = cell
+        return simulate_many(spec, n, [stream.derive("panel", r) for r in rs])
+
+    def one_rep(cell, r: int, panel):
+        _, spec, M, theta, stream = cell
         report = simultaneous_ci(panel, theta, M, config.B, stream.derive("boot", r))
         return report.covers(np.zeros(spec.p)), float(np.median(report.half_widths()))
 
-    outputs, runtimes = _replicate(cells, one_rep, config.R, config.threads)
+    outputs, runtimes = _replicate(cells, one_rep, config.R, config.threads, panels)
     rows = []
     for (n, spec, M, theta, _), out in zip(cells, outputs):
         cov = float(np.mean([o[0] for o in out], dtype=float))

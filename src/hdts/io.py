@@ -157,21 +157,30 @@ def write_matrix_csv(path, arr: np.ndarray) -> None:
     _write_array_csv(path, arr)
 
 
+def _utf8_lines(path, f):
+    """Lines of the binary file f decoded as UTF-8; bytes that are not
+    UTF-8 raise ValidationError."""
+    try:
+        yield from TextIOWrapper(f, encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not a UTF-8 text file") from None
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path) as f:
-        return _parse_rows(path, f, 1, 0)
+    with open(path, "rb") as f:
+        return _parse_rows(path, _utf8_lines(path, f), 1, 0)
 
 
 def read_panel_any(path) -> np.ndarray:
     """Panel from an HDTS1 file, detected by its magic bytes, or else from a
-    CSV with the header t,x1..xp; the file is opened once."""
+    UTF-8 CSV with the header t,x1..xp; the file is opened once."""
     with open(path, "rb") as f:
         binary = f.read(5) == MAGIC
         f.seek(0)
         if binary:
             return _read_binary(path, f)
-        lines = TextIOWrapper(f)
-        header = lines.readline().strip().split(",")
+        lines = _utf8_lines(path, f)
+        header = next(lines, "").strip().split(",")
         if not header or header[0] != "t":
             raise ValidationError(f"{path}: expected a panel CSV with header t,x1..xp")
         return _parse_rows(path, lines, 2, 1, len(header) - 1)

@@ -16,10 +16,13 @@ Three families are supported:
 * ``threshold-ar`` -- coordinatewise X_i = theta1*max(X_{i-1},0)
                       + theta2*min(X_{i-1},0) + eps_i, geometrically contracting
                       when |theta1| v |theta2| < 1; a burn-in prefix is discarded.
-                      The path is computed in overlapping time segments that
-                      step together; each is checked bit for bit against its
-                      predecessor and re-run from the exact state where it
-                      differs, so it equals the plain step-by-step loop.
+                      One kernel computes every path: time segments that
+                      step together, each checked bit for bit against its
+                      predecessor's end state and re-run from the exact
+                      state where it differs, so it equals the plain
+                      step-by-step loop.  Several paths can share the
+                      stepped state: simulate_many draws panels a stack at
+                      a time, within the byte budget STACK_BYTES.
 
 Time convention: panel row r holds the observation at time r, r = 0..n-1.
 Couplings replace the innovation at time 0.
@@ -28,6 +31,7 @@ Couplings replace the innovation at time 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -442,69 +446,103 @@ def _lag_sums(spec: ProcessSpec, eps: np.ndarray, g: np.ndarray, stride: int) ->
     return x
 
 
-def _tar_steps(x: np.ndarray, eps: np.ndarray, out: np.ndarray,
-               theta1: float, theta2: float) -> np.ndarray:
-    """The one threshold step loop: from state x, x <- f(x) + eps[t] and
-    out[t] = x for every t; returns the last state.  x may carry any
-    trailing shape (one path, or a stack of segments)."""
+def _tar_steps(x: np.ndarray, eps: np.ndarray, theta1: float, theta2: float,
+               out: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
+    """The one threshold step loop: from state x, x <- f(x) + eps[t] for every
+    row t of eps, storing out[t] = x[lo:] when out is given; returns the last
+    state as a new array.  x may carry any trailing shape (one path, or a
+    stack of segments).  The step runs in place, in the order of
+    theta1*max(x, 0) + theta2*min(x, 0) + eps[t], so it keeps those bits."""
+    x = x.copy()
+    neg = np.empty_like(x)
     for t in range(eps.shape[0]):
-        x = theta1 * np.maximum(x, 0.0) + theta2 * np.minimum(x, 0.0) + eps[t]
-        out[t] = x
+        np.minimum(x, 0.0, out=neg)
+        np.maximum(x, 0.0, out=x)
+        x *= theta1
+        neg *= theta2
+        x += neg
+        x += eps[t]
+        if out is not None:
+            out[t] = x[lo:]
     return x
 
 
-def _tar_path(eps: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
-    """Iterate the threshold recursion over all rows of eps, from zero.
+def _tar_paths(values, S: int, theta1: float, theta2: float,
+               skip: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one threshold-AR kernel: S paths from the zero state, stepped as
+    one stacked state.
 
-    The result is the plain loop's, bit for bit, computed in G overlapping
-    time segments of 2L steps that advance together as one (G, p) state.
-    With rho = |theta1| v |theta2|, two paths of the map draw together by
-    at least the factor rho per step, so L = ceil(64 / -log2 rho) steps
-    shrink any start-up error below 2^-64 of the state.
+    values yields S innovation arrays of one shape (T, p); each is copied
+    into the stack as it arrives, so a lazy iterable holds one at a time.
+    Returns (eps, paths): eps is the (T, S, p) stack, eps[:, r] = values[r],
+    and paths the (T - skip, S, p) rows skip.. of every path, bit for bit
+    the plain step-by-step loop's.  The map acts coordinatewise, so
+    stacking paths side by side changes no bit of any of them.
 
-    * Segments.  Segment k starts from the zero state at time (k-1)L and
-      yields times kL .. (k+1)L - 1; segment 0 runs its first L steps on
-      zero padding, which leaves the zero state as it is, so it is exact.
+    With rho = |theta1| v |theta2|, two paths of the map draw together by at
+    least the factor rho per step, so L = ceil(96 / -log2 rho) steps shrink
+    any start-up error below 2^-96 of the state the warm-up missed.  That is
+    below the last bit of the end state unless the end state is some 2^-43
+    times smaller, so on continuous laws repairs almost never run.  The T
+    times are cut into G segments of L steps that advance together as one
+    (G, S p) state.
+
+    * Warm-up.  Segment k >= 1 starts from the zero state at time (k-1)L and
+      steps over the L times before its own; segment 0 starts exactly.
     * Check.  The recursion is deterministic, so once segment k holds the
-      bits of segment k-1 at time kL - 1 it is exact from then on.  The
-      check runs in order k = 1 .. G-1, on the bit patterns.
+      end state of segment k-1 bit for bit it is exact from then on.  The
+      check compares end states, in order k = 1 .. G-1, so it needs no
+      stored rows.
     * Repair.  Coordinates of segment k that did not coalesce are re-run
-      over its L output steps from the exact state of segment k-1.
+      over its L steps from the exact end state of segment k-1.
 
-    Correctness never depends on L, only the speed does: a coordinate
-    that never coalesces costs the plain loop's steps.  For G < 3, where
-    T <= 2L and segments would take no fewer steps, the whole path runs
-    as one.
+    Only the segments from the one holding time skip on are stored, so at
+    most L - 1 rows before skip are kept.  Correctness never depends on L,
+    only the speed does: a coordinate that never coalesces costs the plain
+    loop's steps.  For G < 3, where T <= 2L and segments would take no
+    fewer steps, the whole path runs as one segment.
     """
-    T, p = eps.shape
+    values = iter(values)
+    v = next(values)
+    T, p = v.shape
     rho = max(abs(theta1), abs(theta2))
-    L = 1 if rho == 0.0 else math.ceil(64.0 / -math.log2(rho))
+    L = 1 if rho == 0.0 else math.ceil(96.0 / -math.log2(rho))
     G = -(-T // L)
     if G < 3:
-        out = np.empty((T, p))
-        _tar_steps(np.zeros(p), eps, out, theta1, theta2)
-        return out
-    # padded row t + L holds eps_t; the tail pads the last segment to length 2L
-    padded = np.zeros(((G + 1) * L, p))
-    padded[L:L + T] = eps
-    row, col = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (2 * L, G, p), (row, L * row, col), writeable=False)
-    out = np.empty((G * L, p))
-    # step s of the second half writes row kL + s of every segment k; the
-    # first half writes the same rows, which the second half overwrites
-    out_steps = out.reshape(G, L, p).swapaxes(0, 1)
-    first = _tar_steps(np.zeros((G, p)), windows[:L], out_steps, theta1, theta2)
-    _tar_steps(first, windows[L:], out_steps, theta1, theta2)
+        G, L = 1, T
+    # the tail pads the last segment to L steps; its extra rows are dropped
+    stack = np.zeros((G * L, S, p))
+    stack[:T, 0] = v
+    for r, v in enumerate(values, 1):
+        stack[:T, r] = v
+    del v
+    eps = stack.reshape(G * L, S * p)
+    row, col = eps.strides
+    steps = np.lib.stride_tricks.as_strided(
+        eps, (L, G, S * p), (row, L * row, col), writeable=False)  # [s, k] = row kL + s
+    k0 = skip // L
+    out = np.empty(((G - k0) * L, S * p))
+    start = np.zeros((G, S * p))
+    if G > 1:
+        start[1:] = _tar_steps(start[1:], steps[:, :-1], theta1, theta2)
+    end = _tar_steps(start, steps, theta1, theta2,
+                     out.reshape(G - k0, L, S * p).swapaxes(0, 1), k0)
+    # a check can newly fail only where the segment before was repaired
+    suspect = np.any(start[1:].view(np.uint64) != end[:-1].view(np.uint64), axis=1)
+    repaired = False
     for k in range(1, G):
-        exact = out[k * L - 1]
-        bad = np.flatnonzero(first[k].view(np.uint64) != exact.view(np.uint64))
-        if bad.size:
-            rows = slice(k * L, (k + 1) * L)
+        if not (repaired or suspect[k - 1]):
+            continue
+        bad = np.flatnonzero(start[k].view(np.uint64) != end[k - 1].view(np.uint64))
+        repaired = bad.size > 0
+        if repaired:
             fixed = np.empty((L, bad.size))
-            _tar_steps(exact[bad], padded[L:][rows, bad], fixed, theta1, theta2)
-            out[rows, bad] = fixed
-    return out[:T]
+            end[k, bad] = _tar_steps(end[k - 1, bad], eps[k * L:(k + 1) * L, bad],
+                                     theta1, theta2, fixed)
+            if k >= k0:
+                out[(k - k0) * L:(k - k0 + 1) * L, bad] = fixed
+    lo = skip - k0 * L
+    return stack[:T], out[lo:lo + T - skip].reshape(T - skip, S, p)
 
 
 def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> InnovationRecord:
@@ -514,24 +552,55 @@ def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> Innovation
     return InnovationRecord(values=values, offset=offset)
 
 
-def _build(spec: ProcessSpec, n: int, innov: InnovationRecord) -> np.ndarray:
-    if spec.family == "threshold-ar":
-        return _tar_path(innov.values, spec.theta1, spec.theta2)[spec.burn_in:]
+def _linear_panel(spec: ProcessSpec, innov: InnovationRecord) -> Panel:
     # c reversed, not lag_sum_weights(spec, 1, 0): equal up to rounding, and cheaper
-    return _lag_sums(spec, innov.values, spec.lag_weights()[::-1].copy(), 1)
+    return Panel(_lag_sums(spec, innov.values, spec.lag_weights()[::-1].copy(), 1), innov)
+
+
+def _tar_panels(spec: ProcessSpec, values, S: int):
+    """Panels of S threshold-AR paths over the innovation arrays values, in
+    order; their records are views of the kernel's stack."""
+    eps, paths = _tar_paths(values, S, spec.theta1, spec.theta2, spec.burn_in)
+    for r in range(S):
+        yield Panel(data=paths[:, r], innovations=InnovationRecord(eps[:, r], -spec.burn_in))
+
+
+# Innovation bytes of one threshold-AR stack: simulate_many steps at most
+# max(1, STACK_BYTES // (8 p (n + burn_in))) paths as one state.  Each
+# thread that draws holds one stack: its innovations and its panels' rows.
+STACK_BYTES = 1 << 20
+
+
+def simulate_many(spec: ProcessSpec, n: int, streams):
+    """Panels simulate(spec, n, s) for s in streams, in order, as an iterator.
+
+    Panel r equals simulate(spec, n, streams[r]) bit for bit, data and
+    innovation record.  threshold-ar draws its paths a stack at a time
+    (see STACK_BYTES) and steps each stack as one state through the one
+    kernel, so a consumer that takes panels one by one holds at most one
+    stack.  iid and linear build each panel alone, since the bits of a
+    matrix product depend on its shape.
+    """
+    if n < 1:
+        raise ValidationError(f"panel length n must be >= 1, got {n}")
+    streams = list(streams)
+    if spec.family != "threshold-ar":
+        return (_linear_panel(spec, _draw_innovations(spec, n, s)) for s in streams)
+    size = max(1, STACK_BYTES // (8 * spec.p * (n + spec.burn_in)))
+    stacks = [streams[i:i + size] for i in range(0, len(streams), size)]
+    return itertools.chain.from_iterable(
+        _tar_panels(spec, (_draw_innovations(spec, n, s).values for s in stack), len(stack))
+        for stack in stacks)
 
 
 def simulate(spec: ProcessSpec, n: int, rng: RngContract) -> Panel:
-    """Draw one panel of length n from the process.
+    """Draw one panel of length n from the process: simulate_many on the
+    one stream rng.
 
     The linear family is exact (presample innovations drawn explicitly);
     threshold-ar discards spec.burn_in steps started from the zero state.
     """
-    if n < 1:
-        raise ValidationError(f"panel length n must be >= 1, got {n}")
-    innov = _draw_innovations(spec, n, rng)
-    data = _build(spec, n, innov)
-    return Panel(data=data, innovations=innov)
+    return next(simulate_many(spec, n, [rng]))
 
 
 def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel, Panel]:
@@ -539,7 +608,7 @@ def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel
 
     Both panels share every innovation except eps_0, which the copy swaps
     for an independent draw; rows where eps_0 has no influence agree
-    bit-exactly.
+    bit-exactly.  threshold-ar steps the pair as one stacked state.
     """
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
@@ -547,10 +616,10 @@ def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel
     eps_prime = spec.innovation.sample(rng.derive("coupling").generator(), (spec.p,))
     values_c = innov.values.copy()
     values_c[-innov.offset] = eps_prime
-    innov_c = InnovationRecord(values=values_c, offset=innov.offset)
-    panel = Panel(data=_build(spec, n, innov), innovations=innov)
-    coupled = Panel(data=_build(spec, n, innov_c), innovations=innov_c)
-    return panel, coupled
+    if spec.family == "threshold-ar":
+        return tuple(_tar_panels(spec, (innov.values, values_c), 2))
+    return (_linear_panel(spec, innov),
+            _linear_panel(spec, InnovationRecord(values=values_c, offset=innov.offset)))
 
 
 def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:

@@ -10,16 +10,27 @@ import numpy as np
 from .errors import ValidationError
 
 
+# Consecutive indices run_indexed hands to one worker at a time.
+RUN = 8
+
+
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate fn(i) for i in range(count), optionally on a thread pool.
 
-    Results come back ordered by index, so the output is independent of
-    the number of threads as long as fn(i) depends only on i.
+    Indices go out in runs of RUN consecutive indices (the last run may be
+    shorter); each run is evaluated in order on one thread, so fn can
+    share work across the indices of a run.  There is still one fn call
+    per index.  Results come back ordered by index, so the output is
+    independent of the number of threads as long as fn(i) depends only on i.
     """
-    if threads <= 1 or count <= 1:
+    if threads <= 1 or count <= RUN:
         return [fn(i) for i in range(count)]
+
+    def run(start: int) -> list:
+        return [fn(i) for i in range(start, min(start + RUN, count))]
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
+        return [out for part in ex.map(run, range(0, count, RUN)) for out in part]
 
 
 def fit_loglog_slope(x, y) -> float:

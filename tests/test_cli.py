@@ -816,3 +816,24 @@ def test_experiment_rejects_unusable_sizes_before_replicating(tmp_path, monkeypa
     rc = main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+_NOT_UTF8 = b"t,x1\n1,\xff\xfe0.5\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "ci", "covtest", "covtest --null"])
+@pytest.mark.parametrize("where", ["row", "header"])
+def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys, command, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(_NOT_UTF8 if where == "row" else b"t,x\xff1\n1,0.5\n")
+    good = tmp_path / "good.bin"
+    io.write_array_binary(good, np.arange(40.0).reshape(20, 2) % 7)
+    if command == "covtest --null":
+        bad.write_bytes(b"1,0,0\n0,\xff1,0\n0,0,1\n" if where == "row" else b"\xfe\n")
+        argv = ["covtest", "--panel", str(good), "--null", str(bad)]
+    else:
+        argv = [command, "--panel", str(bad)]
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (2, "validation") and "UTF-8" in body["error"]
+    assert not list(tmp_path.glob("o*"))

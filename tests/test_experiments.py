@@ -129,6 +129,95 @@ def test_ga_distance_threads_do_not_change_results():
     assert a.ks == b.ks
 
 
+def test_run_indexed_runs_each_run_in_order_on_one_thread():
+    import threading
+    import time
+    from hdts.util import RUN, run_indexed
+    count = 5 * RUN + 3
+    for threads in (1, 2, 8):
+        calls, lock = [], threading.Lock()
+
+        def fn(i):
+            with lock:
+                calls.append((i, threading.get_ident()))
+            time.sleep(0.0005)           # lets the workers interleave
+            return i * i
+
+        assert run_indexed(fn, count, threads) == [i * i for i in range(count)]
+        assert sorted(i for i, _ in calls) == list(range(count))
+        for start in range(0, count, RUN):
+            run = [(i, tid) for i, tid in calls if start <= i < start + RUN]
+            assert [i for i, _ in run] == list(range(start, min(start + RUN, count)))
+            assert len({tid for _, tid in run}) == 1
+
+
+def test_shared_run_inputs_survive_any_call_order_and_thread(monkeypatch):
+    # replications handed to 8 threads one index at a time, in an order that
+    # breaks every run, with frequent thread switches: each still gets the
+    # input for its own index, and each run's inputs are asked for at least once
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    import hdts.experiments as ex
+    from hdts.util import RUN
+    R, asked = 40 * RUN + 5, []
+
+    def inputs(cell, rs):
+        asked.append(rs.start)
+        return (cell + 10 * r for r in rs)
+
+    def scattered(fn, count, threads=1):
+        order = [i for k in range(3) for i in range(count)[k::3]][::-1]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            done = dict(zip(order, pool.map(fn, order)))
+        return [done[i] for i in range(count)]
+
+    monkeypatch.setattr(ex, "run_indexed", scattered)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (out,), _ = ex._replicate([7], lambda cell, r, x: (r, x), R, 8, inputs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [(r, 7 + 10 * r) for r in range(R)]
+    assert {s - s % RUN for s in asked} == set(range(0, R, RUN))
+
+
+_TAR = ProcessSpec("threshold-ar", p=3, theta1=0.4, theta2=-0.2, burn_in=50)
+
+
+def _tar_coverage(threads):
+    return coverage_experiment(ExperimentConfig(
+        spec=_TAR, R=200, B=1000, base_seed=5, n_list=[60], theta_list=[0.9],
+        threads=threads)).rows
+
+
+def _tar_ga(threads):
+    res = ga_distance(_TAR, 60, 40, RNG.derive("tar-ga"), sigma=np.eye(3), n_perm=0,
+                      threads=threads)
+    return res.sample_stats.tobytes(), res.ks
+
+
+@pytest.mark.parametrize("run", [_tar_coverage, _tar_ga], ids=["coverage", "ga"])
+def test_threshold_ar_replications_ignore_threads_and_call_order(monkeypatch, run):
+    # stacked panels give the same results at any thread count, and as when
+    # the replications are called last to first, each then drawing its own panel
+    import hdts.experiments as ex
+    ref = run(1)
+    assert run(2) == ref and run(8) == ref
+    monkeypatch.setattr(ex, "run_indexed",
+                        lambda fn, count, threads=1: [fn(i) for i in range(count)[::-1]][::-1])
+    assert run(1) == ref
+
+
+def test_ga_distance_on_threshold_ar_sums_each_panel():
+    from hdts.model import column_sums
+    n, rng = 60, RNG.derive("tar-ga")
+    res = ga_distance(_TAR, n, 40, rng, sigma=np.eye(3), n_perm=0, threads=2)
+    ref = [np.max(np.abs(column_sums(_TAR, n, rng.derive("ga-panel", r)))) / math.sqrt(n)
+           for r in range(40)]
+    assert res.sample_stats.tolist() == ref
+
+
 # ---------------------------------------------------------------------------
 # coverage experiment
 # ---------------------------------------------------------------------------
@@ -275,17 +364,21 @@ def test_counterexample_guards_and_diagnostics():
     (lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 2, rng),
      "simulate"),
     (lambda rng: counterexample_demo(4.0, 16, [2, 4], 2, rng), "column_sums"),
+    # coverage draws each run's panels with one simulate_many call, and its
+    # R covers replication 10**6, the first (and only) one of the last run
     (lambda rng: coverage_experiment(ExperimentConfig(
-        spec=ProcessSpec("iid", p=2), R=200, B=1000, base_seed=71,
-        n_list=[40], theta_list=[0.9, 0.95])), "simulate"),
+        spec=ProcessSpec("iid", p=2), R=10 ** 6 + 1, B=1000, base_seed=71,
+        n_list=[40], theta_list=[0.9, 0.95])), "simulate_many"),
 ], ids=["rate", "counterexample", "coverage"])
 def test_replication_streams_are_distinct_across_cells(monkeypatch, run, drawer):
     import hdts.experiments as ex
     draw, seen = getattr(ex, drawer), []
+    many = drawer == "simulate_many"
 
     def recording_draw(spec, n, rng):
-        seen.append(rng.stream_id)
-        return draw(spec, n, rng)
+        streams = list(rng) if many else [rng]
+        seen.extend(s.stream_id for s in streams)
+        return draw(spec, n, streams if many else rng)
 
     monkeypatch.setattr(ex, drawer, recording_draw)
     # replication 10**6 of one cell and replication 0 of the next must differ

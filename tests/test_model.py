@@ -185,12 +185,66 @@ def test_threshold_ar_path_matches_a_plain_step_loop(n, burn_in, theta1, theta2,
 def test_threshold_ar_path_repairs_every_segment_after_an_impulse(theta1, theta2, T):
     # a unit impulse, then zeros: every segment but the first starts from zero
     # inside the zero run and stays at zero, while the true path decays (without
-    # reaching zero at these T), so every later segment is re-run
-    from hdts.model import _tar_path
+    # reaching zero at these T), so every later segment is re-run; the
+    # mirrored impulse beside it makes a stack of two paths
+    from hdts.model import _tar_paths
     eps = np.zeros((T, 3))
     eps[0] = [1.0, -1.0, 0.5]
-    assert np.array_equal(_bits(_tar_path(eps, theta1, theta2)),
-                          _bits(_plain_tar_path(eps, theta1, theta2)))
+    _, paths = _tar_paths([eps, -eps], 2, theta1, theta2, 0)
+    for r, path in enumerate((eps, -eps)):
+        assert np.array_equal(_bits(paths[:, r]), _bits(_plain_tar_path(path, theta1, theta2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 600), burn_in=st.integers(0, 1000), cap=st.integers(1, 6),
+       extra=st.integers(0, 7), **_TAR_SHAPES)
+@example(n=500, burn_in=1024, cap=4, extra=5, theta1=0.3, theta2=0.3, p=5,
+         law=InnovationLaw.gaussian(), seed=1)                          # coverage-tar shape
+@example(n=300, burn_in=10, cap=3, extra=1, theta1=0.0, theta2=0.0, p=2,
+         law=InnovationLaw.student_t(3.0), seed=2)                      # rho = 0: L = 1
+@example(n=600, burn_in=400, cap=5, extra=2, theta1=0.5, theta2=-0.3, p=3,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # repairs
+@example(n=200, burn_in=0, cap=2, extra=1, theta1=0.98, theta2=-0.5, p=2,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=3)  # G < 3
+def test_simulate_many_equals_simulate_path_by_path(n, burn_in, cap, extra, theta1, theta2,
+                                                    p, law, seed):
+    # the byte budget is set to hold exactly cap paths, so the streams fill
+    # whole stacks of cap and, unless extra is a multiple of cap, one partial one
+    from unittest import mock
+    from hdts import model
+    spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
+                       burn_in=burn_in)
+    streams = [RngContract(seed).derive("many", r) for r in range(cap + extra)]
+    kernel, sizes = model._tar_paths, []
+
+    def spy(values, S, *args):
+        sizes.append(S)
+        return kernel(values, S, *args)
+
+    with mock.patch.object(model, "STACK_BYTES", cap * 8 * p * (n + burn_in)), \
+            mock.patch.object(model, "_tar_paths", spy):
+        panels = list(model.simulate_many(spec, n, streams))
+    full, part = divmod(cap + extra, cap)
+    assert sizes == [cap] * full + ([part] if part else [])
+    assert len(panels) == len(streams)
+    for panel, rng in zip(panels, streams):
+        one = simulate(spec, n, rng)
+        assert panel.innovations.offset == one.innovations.offset == -burn_in
+        assert np.array_equal(_bits(panel.innovations.values), _bits(one.innovations.values))
+        assert np.array_equal(_bits(panel.data), _bits(one.data))
+
+
+@pytest.mark.parametrize("family", ["iid", "linear"])
+def test_simulate_many_builds_linear_panels_one_by_one(family):
+    from hdts.model import simulate_many
+    spec = ProcessSpec(family, p=3, K=30, h=1, rho=0.4)
+    streams = [RNG.derive("many-lin", r) for r in range(3)]
+    for panel, rng in zip(simulate_many(spec, 50, streams), streams):
+        one = simulate(spec, 50, rng)
+        assert np.array_equal(_bits(panel.data), _bits(one.data))
+        assert np.array_equal(_bits(panel.innovations.values), _bits(one.innovations.values))
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        simulate_many(spec, 0, streams)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,8 @@ Runs, in process and into a temporary directory, at --threads 1 and 2:
 `covtest` with and without `--null`, `check-conditions --out`, and
 `experiment` for all five kinds with `--dump-ecdf` (`rate` twice: at
 h = 0, and at h = 2, where the closed-form profile would draw its
-Monte Carlo omega).  Prints one line per
+Monte Carlo omega; `coverage` and `ga` also on threshold-AR, whose
+replications share stacked paths).  Prints one line per
 output, `<sha256>  t<threads>/<file>`.  Manifests are hashed with
 `created_utc` dropped and `report.meta.json` with `cell_runtimes_sec`
 dropped, since those hold wall-clock values.
@@ -42,6 +43,12 @@ CONFIGS = {
                 "B = 1000\nn = 100\np = 4\nM = 0,2\ntheta = 0.9,0.95\n",
     "ga": "[process]\np = 4\nK = 20\n[experiment]\nkind = ga\nR = 20\nn = 100\n"
           "n_perm = 50\n",
+    # threshold-AR: runs of 8 replications split into stacks of 7 and 1
+    "coverage-tar": "[process]\nfamily = threshold-ar\np = 8\ntheta1 = 0.4\ntheta2 = -0.2\n"
+                    "burn_in = 2000\n[experiment]\nkind = coverage\nR = 200\nB = 1000\n"
+                    "n = 150\np = 8\nM = 0\ntheta = 0.9\n",
+    "ga-tar": "[process]\nfamily = threshold-ar\np = 4\ntheta1 = 0.5\ntheta2 = -0.3\n"
+              "burn_in = 100\n[experiment]\nkind = ga\nR = 20\nn = 100\nn_perm = 50\n",
     "rate": "[process]\np = 4\nK = 20\n[experiment]\nkind = rate\nR = 6\n"
             "n_grid = 64,128,256\n",
     "rate-h2": "[process]\np = 4\nK = 20\nh = 2\nrho = 0.5\n[experiment]\nkind = rate\n"
@@ -78,7 +85,8 @@ def runs(d: Path, threads: int) -> list[list[str]]:
                  "--null", str(d / "null.csv"), "--out", str(d / "lin-ctnull")],
             g + ["check-conditions", "--config", cfg["lin"], "--n", "4096",
                  "--out", str(d / "cc.json")]]
-    for kind in ("coverage", "ga", "rate", "rate-h2", "mdep", "counterexample"):
+    for kind in ("coverage", "coverage-tar", "ga", "ga-tar", "rate", "rate-h2", "mdep",
+                 "counterexample"):
         out.append(g + ["experiment", "--config", cfg[kind],
                         "--out-dir", str(d / f"exp-{kind}"), "--dump-ecdf"])
     return out
