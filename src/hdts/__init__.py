@@ -5,8 +5,7 @@ bootstrap, and a Monte Carlo verification harness."""
 
 from .errors import (AssumptionError, BoundaryError, HdtsError, NumericalError,
                      ValidationError)
-from .model import (InnovationLaw, InnovationRecord, Panel, ProcessSpec,
-                    m_dependent_approx, simulate, simulate_coupled)
+from .model import InnovationLaw, Panel, ProcessSpec, simulate, simulate_coupled
 from .rng import RngContract
 from .depmeasure import (AuxNorms, DependenceProfile, GAConditionReport,
                          adjusted_norm, closed_form_profile, ga_condition_check,

@@ -5,9 +5,9 @@ check-conditions.  Global flags --seed / --threads / --print-defaults.
 Only simulate, experiment and check-conditions read a config; estimate,
 ci and covtest take their settings from flags.  Exit codes:
 0 success, 2 validation error (a size too large to allocate included),
-3 numerical failure, with a JSON error body on stderr.  Results are
-bit-identical to in-process library calls with the same seed, and
-independent of --threads.
+3 numerical failure (a float overflow included), with a JSON error body
+on stderr.  Results are bit-identical to in-process library calls with
+the same seed, and independent of --threads.
 """
 
 from __future__ import annotations
@@ -84,14 +84,14 @@ def _known_keys() -> dict[str, set[str]]:
 
 
 def _load_config(path) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     cfg.read_string(DEFAULT_CONFIG)  # defaults first, file overrides
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             cfg.read_file(f, source=str(path))
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed config: {exc}")
     known = _known_keys()
     for section in cfg.sections():
@@ -149,34 +149,6 @@ def build_spec(cfg) -> ProcessSpec:
         theta2=_get(cfg, "process", "theta2", float, "float"),
         burn_in=_get(cfg, "process", "burn_in", int, "integer"),
     )
-
-
-def spec_to_config_text(spec: ProcessSpec, n: int | None = None) -> str:
-    """Config text that build_spec parses back into an equal ProcessSpec."""
-    law = spec.innovation
-    lines = [
-        "[process]",
-        f"family = {spec.family}",
-        f"p = {spec.p}",
-        f"alpha = {spec.alpha}",
-        f"K = {spec.K}",
-        f"h = {spec.h}",
-        f"rho = {spec.rho}",
-        f"theta1 = {spec.theta1}",
-        f"theta2 = {spec.theta2}",
-        f"burn_in = {spec.burn_in}",
-        "",
-        "[innovation]",
-        f"kind = {law.kind}",
-    ]
-    if law.kind == "student-t":
-        lines.append(f"df = {law.df}")
-    elif law.kind == "symmetric-pareto":
-        lines += [f"tail_index = {law.tail_index}", f"u0 = {law.u0!r}",
-                  f"body = {law.body}"]
-    if n is not None:
-        lines += ["", "[simulate]", f"n = {n}"]
-    return "\n".join(lines) + "\n"
 
 
 def _opt_M(value: int) -> int | None:
@@ -485,7 +457,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return _DISPATCH[args.command](args)
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": "numerical"}) + "\n")
         return 3
     except (ValidationError, OSError, MemoryError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BoundaryError, ValidationError
+from .errors import BoundaryError, NumericalError, ValidationError
 from .longrun import f_alpha_factor, plan_blocks
 from .model import ProcessSpec, simulate_coupled
 from .rng import RngContract
@@ -269,10 +269,11 @@ def _delta_profile(spec: ProcessSpec, q: float, alpha: float) -> DependenceProfi
         source={"kind": "closed-form"})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def closed_form_profile(spec: ProcessSpec, q: float, alpha: float,
                         nu: float | None = None) -> DependenceProfile:
     """Exact dependence profile for iid/linear specs with Gaussian or
-    student-t innovations.
+    student-t innovations.  Norms that overflow come out inf or nan, unwarned.
 
     Gaussian innovations admit closed forms for every linear combination;
     student-t is supported for h = 0 (single-coordinate rows), with the
@@ -509,8 +510,17 @@ def ga_condition_check(profile: DependenceProfile, n: int,
     """Evaluate every explicit approximation condition at finite (n, p).
 
     Each condition is reported as left/right values with a satisfied flag
-    (ratio < 1 as the finite-sample proxy for the o(.) statement).
+    (ratio < 1 as the finite-sample proxy for the o(.) statement).  Norms not
+    finite and > 0 and a nu outside [0, inf) raise ValidationError;
+    arithmetic that leaves the float range raises NumericalError.
     """
+    try:
+        return _ga_conditions(profile, n, p, nu)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"condition arithmetic left the float range: {exc}") from None
+
+
+def _ga_conditions(profile: DependenceProfile, n: int, p, nu) -> GAConditionReport:
     q, alpha = profile.q, profile.alpha
     p = float(p if p is not None else profile.p)
     _check_order(q)
@@ -527,16 +537,23 @@ def ga_condition_check(profile: DependenceProfile, n: int,
         raise BoundaryError(
             f"alpha = 1/2 - 1/q = {boundary} sits on the regime boundary")
     nu = nu if nu is not None else profile.nu
+    if nu is not None and not 0.0 <= nu < math.inf:
+        raise ValidationError(f"need a finite nu >= 0, got {nu}")
 
     lp = math.log(p)
     lpn = math.log(p * n)
-    Theta, Psi = profile.Theta, profile.Psi
+    Theta = profile.Theta
     aux = profile.aux
     need = {"Psi_2_alpha": aux.psi_2_a, "Psi_2_0": aux.psi_2_0,
             "Psi_3_0": aux.psi_3_0, "Psi_4_0": aux.psi_4_0}
     missing = [k for k, v in need.items() if v is None]
     if missing:
         raise ValidationError(f"profile lacks auxiliary norms: {', '.join(missing)}")
+    norms = {"Psi": profile.Psi, "Upsilon": profile.Upsilon, "sup_norm": profile.sup_norm,
+             "Theta": Theta, "Phi": profile.Phi, "Phi_0": profile.Phi_0, **need}
+    bad = [k for k, v in norms.items() if v is not None and not 0.0 < v < math.inf]
+    if bad:
+        raise ValidationError(f"profile norms must be finite and > 0: {', '.join(bad)}")
 
     L1 = (n ** (1.0 / q - 0.5) * lp ** 0.5 * Theta) ** (1.0 / (alpha - 0.5 + 1.0 / q)) \
         if alpha > boundary else None
@@ -601,6 +618,10 @@ def ga_condition_check(profile: DependenceProfile, n: int,
                 "alpha=1:max(W1,W4)<n/(L2*log n)",
                 max(W1, W4), n / (L2 * math.log(n))))
         ultra_c = ultra_high_dim_exponent(alpha, beta)
+    values = [L1, L2, L3, W1, W2, W3, W4, N1, N2, N3, N4] + [
+        v for c in conditions for v in (c.lhs, c.rhs)]
+    if not all(math.isfinite(v) for v in values if v is not None):
+        raise OverflowError("a condition value is not finite")
 
     return GAConditionReport(
         n=n, p=p, q=q, alpha=alpha, nu=nu, regime=regime,

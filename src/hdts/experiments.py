@@ -152,6 +152,8 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     sum a simulated panel and must pass an (approximate) sigma, e.g. from
     mc_long_run_sigma.  n_perm = 0 skips the permutation test.
     """
+    if R < 1:
+        raise ValidationError(f"ga_distance needs R >= 1 replications, got {R}")
     if n_perm < 0:
         raise ValidationError(f"n_perm must be >= 0, got {n_perm}")
     if sigma is None:
@@ -276,8 +278,8 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
     floor(n^(1/3)) unless M_rule(n) is supplied.
     """
     n_grid = list(n_grid)
-    if len(n_grid) < 3:
-        raise ValidationError(f"need an n-grid with >= 3 points, got {len(n_grid)}")
+    if len(set(n_grid)) < 3:
+        raise ValidationError(f"need an n-grid with >= 3 points, all distinct, got {n_grid}")
     if R < 1:
         raise ValidationError(f"rate_experiment needs R >= 1 replications, got {R}")
     sigma = true_sigma(spec)
@@ -349,8 +351,8 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
     difference is exactly zero and the fitted slope is NaN.
     """
     m_grid = list(m_grid)
-    if len(m_grid) < 3:
-        raise ValidationError(f"need an m-grid with >= 3 points, got {len(m_grid)}")
+    if len(set(m_grid)) < 3:
+        raise ValidationError(f"need an m-grid with >= 3 points, all distinct, got {m_grid}")
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
     if min(m_grid) < 1:
@@ -363,7 +365,7 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
     W = np.stack([lag_sum_weights(spec, n, m + 1) for m in m_grid])   # (|grid|, n+K)
 
     def one_rep(cell: RngContract, r: int) -> np.ndarray:
-        eps = _draw_innovations(spec, n, cell.derive("mdep-panel", r)).values
+        eps = _draw_innovations(spec, n, cell.derive("mdep-panel", r))
         return _lag_sums(spec, eps, W, n)[0]
 
     (out,), runtimes = _replicate([rng], one_rep, R, threads)
@@ -413,6 +415,8 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
     small to move the maximum at desk-scale (n, p).
     """
     from scipy.stats import norm
+    if R < 1:
+        raise ValidationError(f"counterexample_demo needs R >= 1 replications, got {R}")
     if tail_index <= 2:
         raise ValidationError(f"tail index must exceed 2, got {tail_index}")
     law = InnovationLaw.symmetric_pareto(tail_index, body=body)

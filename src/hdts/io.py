@@ -95,7 +95,10 @@ def _read_binary(path, f) -> np.ndarray:
         raise ValidationError(
             f"{path}: {len(payload) - rows * cols * 8} trailing bytes after "
             f"the {rows}x{cols} payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
+    try:
+        return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
+    except ValueError:   # an empty payload under a shape beyond numpy's limits
+        raise ValidationError(f"{path}: a {rows}x{cols} array exceeds numpy's limits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +194,6 @@ def rows_to_columns(rows: list[dict]) -> dict:
     if not rows:
         raise ValidationError("no rows to write")
     return {c: [row[c] for row in rows] for c in rows[0]}
-
-
-def rows_csv_text(rows: list[dict]) -> str:
-    """CSV text of dict rows under a header of the first row's keys."""
-    columns = rows_to_columns(rows)
-    return _csv_text(columns, columns.values())
 
 
 def write_rows_csv(path, columns: dict) -> None:

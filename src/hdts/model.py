@@ -7,8 +7,8 @@ Three families are supported:
                       banded cross-sectional mixer B[j,l] = rho^{|j-l|} 1{|j-l|<=h}.
                       The lag cutoff K makes simulation exact: presample
                       innovations are drawn explicitly.  Every sum of this
-                      family (panel rows, column sums, m-dependent
-                      approximations) is one windowed lag-weight product of
+                      family (panel rows, column sums, the m-dependent gaps
+                      S_n - S_{n,m}) is one windowed lag-weight product of
                       the innovations, followed by B.
 * ``iid``          -- rows are independent draws of the innovation law: the
                       linear process at K = 0 and h = 0, which is how an iid
@@ -25,7 +25,7 @@ Three families are supported:
                       a time, within the byte budget STACK_BYTES.
 
 Time convention: panel row r holds the observation at time r, r = 0..n-1.
-Couplings replace the innovation at time 0.
+Couplings replace the innovation at time 0.  A Panel holds its data only.
 """
 
 from __future__ import annotations
@@ -371,29 +371,11 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InnovationRecord:
-    """Innovations that produced a panel.
-
-    values[r] is eps at time (offset + r); the panel occupies times 0..n-1,
-    so offset is -K for the linear family (0 for iid) and -burn_in for threshold-ar.
-    """
-
-    values: np.ndarray
-    offset: int
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0] + self.offset
-
-
-@dataclass(frozen=True)
 class Panel:
-    """n x p observation matrix, row i = time i, plus the innovations that
-    produced it when it was simulated.  The data are stored C-contiguous, so
+    """n x p observation matrix, row i = time i, stored C-contiguous so that
     column reductions do not depend on the caller's memory layout."""
 
     data: np.ndarray
-    innovations: InnovationRecord | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float, order="C")
@@ -416,7 +398,7 @@ class Panel:
 
     @staticmethod
     def from_data(data) -> "Panel":
-        """Wrap an existing observation matrix (no innovation record)."""
+        """Wrap an existing observation matrix."""
         return Panel(data)
 
 
@@ -467,17 +449,15 @@ def _tar_steps(x: np.ndarray, eps: np.ndarray, theta1: float, theta2: float,
     return x
 
 
-def _tar_paths(values, S: int, theta1: float, theta2: float,
-               skip: int) -> tuple[np.ndarray, np.ndarray]:
+def _tar_paths(values, S: int, theta1: float, theta2: float, skip: int) -> np.ndarray:
     """The one threshold-AR kernel: S paths from the zero state, stepped as
     one stacked state.
 
     values yields S innovation arrays of one shape (T, p); each is copied
     into the stack as it arrives, so a lazy iterable holds one at a time.
-    Returns (eps, paths): eps is the (T, S, p) stack, eps[:, r] = values[r],
-    and paths the (T - skip, S, p) rows skip.. of every path, bit for bit
-    the plain step-by-step loop's.  The map acts coordinatewise, so
-    stacking paths side by side changes no bit of any of them.
+    Returns the (T - skip, S, p) rows skip.. of every path, bit for bit the
+    plain step-by-step loop's.  The map acts coordinatewise, so stacking
+    paths side by side changes no bit of any of them.
 
     With rho = |theta1| v |theta2|, two paths of the map draw together by at
     least the factor rho per step, so L = ceil(96 / -log2 rho) steps shrink
@@ -542,44 +522,42 @@ def _tar_paths(values, S: int, theta1: float, theta2: float,
             if k >= k0:
                 out[(k - k0) * L:(k - k0 + 1) * L, bad] = fixed
     lo = skip - k0 * L
-    return stack[:T], out[lo:lo + T - skip].reshape(T - skip, S, p)
+    return out[lo:lo + T - skip].reshape(T - skip, S, p)
 
 
-def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> InnovationRecord:
-    offset = -spec.burn_in if spec.family == "threshold-ar" else -spec.K
-    gen = rng.derive("innovations").generator()
-    values = spec.innovation.sample(gen, (n - offset, spec.p))
-    return InnovationRecord(values=values, offset=offset)
+def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray:
+    """The innovations simulate(spec, n, rng) draws, at times -K..n-1 or -burn_in..n-1."""
+    presample = spec.burn_in if spec.family == "threshold-ar" else spec.K
+    return spec.innovation.sample(rng.derive("innovations").generator(), (n + presample, spec.p))
 
 
-def _linear_panel(spec: ProcessSpec, innov: InnovationRecord) -> Panel:
+def _linear_panel(spec: ProcessSpec, eps: np.ndarray) -> Panel:
     # c reversed, not lag_sum_weights(spec, 1, 0): equal up to rounding, and cheaper
-    return Panel(_lag_sums(spec, innov.values, spec.lag_weights()[::-1].copy(), 1), innov)
+    return Panel(_lag_sums(spec, eps, spec.lag_weights()[::-1].copy(), 1))
 
 
 def _tar_panels(spec: ProcessSpec, values, S: int):
-    """Panels of S threshold-AR paths over the innovation arrays values, in
-    order; their records are views of the kernel's stack."""
-    eps, paths = _tar_paths(values, S, spec.theta1, spec.theta2, spec.burn_in)
+    """Panels of the S threshold-AR paths over values; each copies its rows."""
+    paths = _tar_paths(values, S, spec.theta1, spec.theta2, spec.burn_in)
     for r in range(S):
-        yield Panel(data=paths[:, r], innovations=InnovationRecord(eps[:, r], -spec.burn_in))
+        yield Panel(paths[:, r].copy())
 
 
 # Innovation bytes of one threshold-AR stack: simulate_many steps at most
 # max(1, STACK_BYTES // (8 p (n + burn_in))) paths as one state.  Each
-# thread that draws holds one stack: its innovations and its panels' rows.
+# thread that draws holds one stack: its innovations while it is stepped,
+# then its panels' rows.
 STACK_BYTES = 1 << 20
 
 
 def simulate_many(spec: ProcessSpec, n: int, streams):
     """Panels simulate(spec, n, s) for s in streams, in order, as an iterator.
 
-    Panel r equals simulate(spec, n, streams[r]) bit for bit, data and
-    innovation record.  threshold-ar draws its paths a stack at a time
-    (see STACK_BYTES) and steps each stack as one state through the one
-    kernel, so a consumer that takes panels one by one holds at most one
-    stack.  iid and linear build each panel alone, since the bits of a
-    matrix product depend on its shape.
+    Panel r equals simulate(spec, n, streams[r]) bit for bit.  threshold-ar
+    draws its paths a stack at a time (see STACK_BYTES) and steps each stack
+    as one state through the one kernel, so a consumer that takes panels
+    one by one holds at most one stack.  iid and linear build each panel
+    alone, since the bits of a matrix product depend on its shape.
     """
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
@@ -589,7 +567,7 @@ def simulate_many(spec: ProcessSpec, n: int, streams):
     size = max(1, STACK_BYTES // (8 * spec.p * (n + spec.burn_in)))
     stacks = [streams[i:i + size] for i in range(0, len(streams), size)]
     return itertools.chain.from_iterable(
-        _tar_panels(spec, (_draw_innovations(spec, n, s).values for s in stack), len(stack))
+        _tar_panels(spec, (_draw_innovations(spec, n, s) for s in stack), len(stack))
         for stack in stacks)
 
 
@@ -612,14 +590,12 @@ def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel
     """
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
-    innov = _draw_innovations(spec, n, rng)
-    eps_prime = spec.innovation.sample(rng.derive("coupling").generator(), (spec.p,))
-    values_c = innov.values.copy()
-    values_c[-innov.offset] = eps_prime
+    eps = _draw_innovations(spec, n, rng)
+    eps_c = eps.copy()
+    eps_c[-n] = spec.innovation.sample(rng.derive("coupling").generator(), (spec.p,))
     if spec.family == "threshold-ar":
-        return tuple(_tar_panels(spec, (innov.values, values_c), 2))
-    return (_linear_panel(spec, innov),
-            _linear_panel(spec, InnovationRecord(values=values_c, offset=innov.offset)))
+        return tuple(_tar_panels(spec, (eps, eps_c), 2))
+    return _linear_panel(spec, eps), _linear_panel(spec, eps_c)
 
 
 def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
@@ -650,27 +626,8 @@ def column_sums(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
     if spec.family == "threshold-ar":
         return simulate(spec, n, rng).data.sum(axis=0)
-    s = _lag_sums(spec, _draw_innovations(spec, n, rng).values,
-                  lag_sum_weights(spec, n, 0), n)[0]
+    s = _lag_sums(spec, _draw_innovations(spec, n, rng), lag_sum_weights(spec, n, 0), n)[0]
     if not np.all(np.isfinite(s)):
         raise NumericalError("column sums contain non-finite values")
     return s
 
-
-def m_dependent_approx(spec: ProcessSpec, innov: InnovationRecord, m: int) -> Panel:
-    """Panel of the m-dependent approximations X_{i,m} = E[X_i | eps_{i-m..i}]
-    built from stored innovations: the lag sum truncated at min(m, K), so
-    the original panel for iid (K = 0).  threshold-ar raises.
-    """
-    if spec.family not in ("iid", "linear"):
-        raise ValidationError(
-            f"m-dependent approximations exist for iid and linear only, not {spec.family!r}")
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    if innov is None:
-        raise ValidationError("m_dependent_approx requires the panel's innovation record")
-    n = innov.n
-    g = spec.lag_weights()[:min(m, spec.K) + 1][::-1].copy()
-    # reuse rows covering times -min(m,K)..n-1 of the record
-    need = innov.values[innov.values.shape[0] - n - (g.shape[0] - 1):]
-    return Panel(data=_lag_sums(spec, need, g, 1), innovations=innov)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,17 @@ def test_binary_trailing_bytes_rejected(tmp_path, capsys):
     with pytest.raises(ValidationError, match="4 trailing bytes"):
         io.read_array_binary(path)
     assert main(["ci", "--panel", str(path), "--out", str(tmp_path / "c")]) == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+@pytest.mark.parametrize("shape", [(2 ** 62, 0), (0, 2 ** 63), (2 ** 64 - 1, 0)])
+def test_binary_shape_beyond_numpy_limits_exits_2(tmp_path, capsys, shape):
+    # an empty payload matches any shape with a zero side, however large the other
+    path = tmp_path / "x.bin"
+    path.write_bytes(io.MAGIC + struct.pack("<QQ", *shape))
+    with pytest.raises(ValidationError, match="exceeds numpy's limits"):
+        io.read_array_binary(path)
+    assert main(["estimate", "--panel", str(path), "--out", str(tmp_path / "e")]) == 2
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
@@ -477,6 +489,16 @@ def test_symmetric_pareto_huge_u0_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("x*"))
 
 
+@pytest.mark.parametrize("text", [b"[process]\nfamily = li%near\n",
+                                  b"[process]\nfamily = li\xffnear\n"],
+                         ids=["percent-sign", "not-utf8"])
+def test_config_with_a_percent_sign_or_not_utf8_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(DEFAULT_CONFIG.replace("n_perm = 0", "n_perm = 0\nn_gird = 5"))
@@ -566,19 +588,31 @@ def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
     assert man["config_digest"] == sha256_file(cfg)
 
 
+_PROCESS_TAIL = "theta1 = 0.3\ntheta2 = 0.3\nburn_in = 1024\n\n[innovation]\n"
+
+
 def test_spec_config_round_trip(tmp_path):
-    from hdts.cli import build_spec, spec_to_config_text, _load_config
+    from hdts.cli import build_spec, _load_config
     from hdts.model import InnovationLaw
-    specs = [
-        ProcessSpec("linear", p=7, alpha=1.5, K=33, h=2, rho=0.4),
-        ProcessSpec("threshold-ar", p=2, theta1=-0.4, theta2=0.7, burn_in=64),
-        ProcessSpec("iid", p=3,
-                    innovation=InnovationLaw.symmetric_pareto(4.5, body="shell")),
-        ProcessSpec("iid", p=3, innovation=InnovationLaw.student_t(6.5)),
+    iid = "[process]\nfamily = iid\np = 3\nalpha = 1.0\nK = 0\nh = 0\nrho = 0.0\n"
+    cases = [
+        ("[process]\nfamily = linear\np = 7\nalpha = 1.5\nK = 33\nh = 2\nrho = 0.4\n"
+         + _PROCESS_TAIL + "kind = standard-gaussian\n\n[simulate]\nn = 12\n",
+         ProcessSpec("linear", p=7, alpha=1.5, K=33, h=2, rho=0.4)),
+        ("[process]\nfamily = threshold-ar\np = 2\nalpha = 1.0\nK = 200\nh = 0\n"
+         "rho = 0.0\ntheta1 = -0.4\ntheta2 = 0.7\nburn_in = 64\n\n[innovation]\n"
+         "kind = standard-gaussian\n\n[simulate]\nn = 12\n",
+         ProcessSpec("threshold-ar", p=2, theta1=-0.4, theta2=0.7, burn_in=64)),
+        (iid + _PROCESS_TAIL + "kind = symmetric-pareto\ntail_index = 4.5\n"
+         "u0 = 7.3890560989306495\nbody = shell\n\n[simulate]\nn = 12\n",
+         ProcessSpec("iid", p=3,
+                     innovation=InnovationLaw.symmetric_pareto(4.5, body="shell"))),
+        (iid + _PROCESS_TAIL + "kind = student-t\ndf = 6.5\n\n[simulate]\nn = 12\n",
+         ProcessSpec("iid", p=3, innovation=InnovationLaw.student_t(6.5))),
     ]
-    for i, spec in enumerate(specs):
+    for i, (text, spec) in enumerate(cases):
         path = tmp_path / f"s{i}.ini"
-        path.write_text(spec_to_config_text(spec, n=12))
+        path.write_text(text)
         assert build_spec(_load_config(path)) == spec
 
 
@@ -802,9 +836,13 @@ def test_single_n_kinds_reject_an_n_list(tmp_path, monkeypatch, capsys, kind, ru
     ("mdep", "q = 8.0", "q = 0"), ("mdep", "q = 8.0", "q = -1"),
     ("mdep", "q = 8.0", "q = nan"), ("mdep", "q = 8.0", "q = inf"),
     ("counterexample", "tail_index = 4.0", "tail_index = inf"),
+    ("ga", "R = 200", "R = 0"), ("counterexample", "R = 200", "R = 0"),
+    ("rate", "n_grid = 512,1024,2048,4096", "n_grid = 512,512,1024"),
+    ("mdep", "m_grid = 16,32,64,128,256", "m_grid = 16,16,16"),
 ], ids=["rate-R=0", "rate-R=-5", "mdep-R=0", "mdep-R=1", "mdep-n=0", "mdep-m=-1",
         "mdep-m=0", "ga-n_perm=-5", "mdep-q=0", "mdep-q=-1", "mdep-q=nan", "mdep-q=inf",
-        "counterexample-tail_index=inf"])
+        "counterexample-tail_index=inf", "ga-R=0", "counterexample-R=0",
+        "rate-repeated-n", "mdep-repeated-m"])
 def test_experiment_rejects_unusable_sizes_before_replicating(tmp_path, monkeypatch, capsys,
                                                                kind, old, new):
     def fail(*args, **kwargs):
@@ -837,3 +875,222 @@ def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys, command, where):
     body = json.loads(capsys.readouterr().err)
     assert (rc, body["type"]) == (2, "validation") and "UTF-8" in body["error"]
     assert not list(tmp_path.glob("o*"))
+
+
+# the base profile of the degenerate and extreme check-conditions cases
+_PROFILE = {"q": 8.0, "alpha": 1.5, "p": 5, "Psi_q_alpha": 1.0, "Upsilon_q_alpha": 1.0,
+            "Linf_norm_q_alpha": 1.0, "Theta_q_alpha": 1.0,
+            "aux": {"psi_2_0": 1.0, "psi_2_a": 1.0, "psi_3_0": 1.0, "psi_4_0": 1.0}}
+_HUGE_AUX = {k: 1e308 for k in _PROFILE["aux"]}
+_SUB_EXP = ["--sub-exponential", "--nu"]
+_PROFILE_CASES = {
+    "Theta=0": ({"Theta_q_alpha": 0.0}, [], 2),
+    "psi_2=0": ({"aux": {**_PROFILE["aux"], "psi_2_0": 0.0, "psi_2_a": 0.0}}, [], 2),
+    "Psi<0": ({"Psi_q_alpha": -1.0}, [], 2),
+    "Theta<0": ({"Theta_q_alpha": -1.0}, [], 2),
+    "Theta=1e308": ({"Theta_q_alpha": 1e308}, [], 3),
+    "aux=1e308": ({"aux": _HUGE_AUX}, [], 3),
+    "alpha=1e-300": ({"alpha": 1e-300}, [], 3),
+    "q=1e308": ({"q": 1e308}, [], 3),
+    "Phi_0=0": ({"Phi_psinu_alpha": 1.0, "Phi_psinu_0": 0.0}, _SUB_EXP + ["0.5"], 2),
+    "nu<0": ({"Phi_psinu_alpha": 1.0, "Phi_psinu_0": 1.0}, _SUB_EXP + ["-0.5"], 2),
+    "nu=1e308": ({"Phi_psinu_alpha": 1.0, "Phi_psinu_0": 1.0}, _SUB_EXP + ["1e308"], 3),
+}
+
+
+@pytest.mark.parametrize("change, flags, code", _PROFILE_CASES.values(), ids=_PROFILE_CASES)
+def test_check_conditions_on_degenerate_or_extreme_profiles_exits_cleanly(
+        tmp_path, capsys, change, flags, code):
+    # norms that are not finite and > 0 and a nu < 0 exit 2; arithmetic
+    # that leaves the float range exits 3
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({**_PROFILE, **change}))
+    rc = main(["check-conditions", "--profile", str(path), "--n", "2048"] + flags)
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (code, {2: "validation", 3: "numerical"}[code])
+
+
+@pytest.mark.parametrize("h, q, code", [("0", "1e308", 3), ("1", "200", 2), ("1", "1e308", 2)])
+def test_check_conditions_overflow_in_the_closed_form_profile_exits_cleanly(
+        tmp_path, capsys, h, q, code):
+    # at h = 0 the Gaussian max-moment quadrature raises OverflowError
+    # (exit 3); at h = 1 the aggregate norms overflow to inf, with no numpy
+    # warning, and the checker rejects them (exit 2)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(DEFAULT_CONFIG.replace("h = 0", f"h = {h}").replace("rho = 0.0", "rho = 0.5"))
+    rc = main(["check-conditions", "--config", str(cfg), "--n", "4096", "--q", q])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (code, {2: "validation", 3: "numerical"}[code])
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every subcommand in process
+# ---------------------------------------------------------------------------
+
+def _pick(draw, choices: dict) -> dict:
+    """A value for every key of choices, {key: (usual values, odd values)},
+    with at most two keys given an odd one."""
+    odd = draw(st.sets(st.sampled_from(list(choices)), max_size=2))
+    return {key: draw(st.sampled_from(values[key in odd])) for key, values in choices.items()}
+
+
+# every key is set, so that no default size (n = 1000, K = 200, p_grid up
+# to 4096) slows an example down
+_FUZZ_CONFIG = {
+    ("process", "family"): (["iid", "linear", "threshold-ar"], ["garch", "li%near"]),
+    ("process", "p"): ([1, 2, 3], [0, -1, "x"]),
+    ("process", "alpha"): ([1.0, 0.0, 1.5], [-1, "inf", "nan"]),
+    ("process", "K"): ([0, 3, 20], [-1]),
+    ("process", "h"): ([0, 1, 3], [-1]),
+    ("process", "rho"): ([0.0, 0.5, 0.95], [1.0, -0.1, "nan"]),
+    ("process", "theta1"): ([0.3, 0.0, -0.5, 0.99], [1.0, "nan"]),
+    ("process", "theta2"): ([0.3, -0.5], ["inf"]),
+    ("process", "burn_in"): ([0, 10, 100], [-1]),
+    ("innovation", "kind"): (["standard-gaussian", "student-t", "symmetric-pareto"],
+                             ["cauchy"]),
+    ("innovation", "df"): ([8.0, 3.0], [2.0, "inf", "nan"]),
+    ("innovation", "tail_index"): ([4.0, 2.5], [2.0, 1e308, "nan"]),
+    ("innovation", "u0"): ([7.38905609893065, 20.0], [1.0, 1e200, "nan"]),
+    ("innovation", "body"): (["uniform", "shell"], ["x"]),
+    ("simulate", "n"): ([1, 5, 60], [0, -2]),
+    ("experiment", "kind"): (["coverage", "ga", "rate", "mdep", "counterexample"], ["bogus"]),
+    ("experiment", "R"): ([200, 6, 2], [1, 0, -1]),
+    ("experiment", "B"): ([1000], [10, 0]),
+    ("experiment", "n"): ([8, 30, 60], [0, -1]),
+    ("experiment", "p"): ([1, 2, 3], [0]),
+    ("experiment", "M"): (["0", "1", "0,2"], ["-1", "100"]),
+    ("experiment", "theta"): (["0.95", "0.9,0.95"], ["1.0", "0", "nan"]),
+    ("experiment", "n_grid"): (["8,16,32", "16,32,48,60"], ["16,32", "0,8,16", "8,8,8"]),
+    ("experiment", "m_grid"): (["1,2,3", "2,4,8"], ["0,1,2", "1,1,1"]),
+    ("experiment", "p_grid"): (["2,3", "1,2"], ["0,2", "2"]),
+    ("experiment", "q"): ([8.0, 2.0], [3.0, 0, "nan"]),
+    ("experiment", "tail_index"): ([4.0, 2.5], [2.0, "inf"]),
+    ("experiment", "body"): (["shell", "uniform"], ["x"]),
+    ("experiment", "n_perm"): ([0, 5], [-1]),
+}
+
+
+@st.composite
+def _config_bytes(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=60))
+    text, section = "", None
+    for (where, key), value in _pick(draw, _FUZZ_CONFIG).items():
+        text += f"[{where}]\n" * (where != section) + f"{key} = {value}\n"
+        section = where
+    return text.encode()
+
+
+_ODD_CELLS = [float("nan"), float("inf"), -1e308, 1e308, 5e-324, -0.0]
+
+
+@st.composite
+def _panel_bytes(draw):
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(0, 3))
+    cells = draw(st.lists(st.floats(-10, 10), min_size=rows * cols, max_size=rows * cols))
+    if cells and draw(st.booleans()):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+    form = draw(st.sampled_from(["csv", "binary", "bytes"]))
+    if form == "csv":
+        lines = ["t," + ",".join(f"x{j + 1}" for j in range(cols))]
+        lines += [",".join([str(i + 1)] + [repr(v) for v in cells[i * cols:(i + 1) * cols]])
+                  for i in range(rows)]
+        return "\n".join(lines).encode() + draw(st.sampled_from([b"\n", b"", b"\n1,x\n"]))
+    if form == "binary":
+        shape = draw(st.sampled_from([(rows, cols), (rows, cols), (rows + 1, cols),
+                                      (2 ** 62, 0), (0, 2 ** 63), (2 ** 64 - 1, 0)]))
+        return io.MAGIC + struct.pack("<QQ", *shape) + struct.pack(f"<{len(cells)}d", *cells)
+    return draw(st.binary(max_size=80))
+
+
+_ODD_NORMS = [0.0, -1.0, 1e308, 1e-300, float("nan"), None]
+_FUZZ_PROFILE = {**{key: ([value], _ODD_NORMS + [2.0, 0.375])
+                    for key, value in _PROFILE.items() if key != "aux"},
+                 **{("aux", key): ([value], _ODD_NORMS) for key, value in _PROFILE["aux"].items()},
+                 "Phi_psinu_alpha": ([1.0, None], [0.0, 1e308]),
+                 "Phi_psinu_0": ([1.0, None], [0.0, 1e308])}
+
+
+@st.composite
+def _profile_json(draw):
+    prof = {"aux": {}}
+    for key, value in _pick(draw, _FUZZ_PROFILE).items():
+        if isinstance(key, tuple):
+            prof["aux"][key[1]] = value
+        else:
+            prof[key] = value
+    return json.dumps(prof).encode()
+
+
+_FUZZ_FLAGS = {
+    "--M": ([0, 1, 3], [-1, 100]), "--theta": ([0.95, 0.5], [0.0, 1.0, "nan"]),
+    "--B": ([1000], [10, 0, -1]), "--n": ([2048, 50], [1, 2]),
+    "--q": ([8.0, 4.0], [2.0, 0, 200, 1e308]),
+    "--alpha": ([1.5, 0.2], [0.375, 1e-300, 1e308, "nan"]),
+    "--nu": ([0.5, 1.0], [0.0, -0.5, 1e308, "nan"]),
+}
+
+
+def _flags(draw, *names) -> list[str]:
+    picked = _pick(draw, {name: _FUZZ_FLAGS[name] for name in names})
+    return [str(v) for name, value in picked.items() for v in (name, value)]
+
+
+@st.composite
+def _invocation(draw):
+    """(files, argv) of one CLI call; argv names the files by {key}."""
+    command = draw(st.sampled_from(["simulate", "estimate", "ci", "covtest", "experiment",
+                                    "check-conditions"]))
+    if command in ("simulate", "experiment"):
+        out = ["--out", "{d}/o"] if command == "simulate" else ["--out-dir", "{d}/o"]
+        return {"cfg": draw(_config_bytes())}, [command, "--config", "{cfg}"] + out
+    if command == "check-conditions":
+        nu = ["--nu"] if draw(st.booleans()) else []
+        flags = _flags(draw, "--n", *nu) + ["--sub-exponential"] * bool(nu)
+        if draw(st.booleans()):
+            return {"prof": draw(_profile_json())}, [command, "--profile", "{prof}"] + flags
+        return ({"cfg": draw(_config_bytes())},
+                [command, "--config", "{cfg}"] + flags + _flags(draw, "--q", "--alpha"))
+    files = {"panel": draw(_panel_bytes())}
+    argv = [command, "--panel", "{panel}", "--out", "{d}/o"]
+    argv += _flags(draw, "--M", *(["--theta", "--B"] if command != "estimate" else []))
+    if command == "covtest" and draw(st.booleans()):
+        files["null"] = draw(st.sampled_from(
+            [b"1,0\n0,1\n", b"1\n", b"1,0.5\n0,1\n", b"nan,0\n0,1\n", b"1,0,0\n0,1,0\n0,0,1\n"]))
+        argv += ["--null", "{null}"]
+    return files, argv
+
+
+def _profile_invocation(change, flags):
+    return ({"prof": json.dumps({**_PROFILE, **change}).encode()},
+            ["check-conditions", "--profile", "{prof}", "--n", "2048"] + flags)
+
+
+@settings(max_examples=800, deadline=None)
+@given(call=_invocation())
+@example(call=_profile_invocation(*_PROFILE_CASES["Theta=0"][:2]))
+@example(call=_profile_invocation(*_PROFILE_CASES["alpha=1e-300"][:2]))
+@example(call=_profile_invocation(*_PROFILE_CASES["nu=1e308"][:2]))
+def test_fuzz_every_subcommand_exits_0_2_or_3_with_one_json_error(call):
+    # ga on threshold-AR draws its sigma from a 20 000-step path, not 10^6
+    import contextlib
+    import io as stdio
+    import tempfile
+    from unittest import mock
+    import hdts.cli as cli
+    files, argv = call
+    real_sigma = cli.mc_long_run_sigma
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(
+            cli, "mc_long_run_sigma", lambda spec, rng=None: real_sigma(spec, 20_000, rng)):
+        names = {"d": d}
+        for key, data in files.items():
+            names[key] = f"{d}/{key}"
+            Path(names[key]).write_bytes(data)
+        err = stdio.StringIO()
+        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["--threads", "1"] + [a.format(**names) for a in argv])
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    if rc:
+        body = json.loads(err.getvalue())
+        assert set(body) == {"error", "type"}
+        assert body["type"] == {2: "validation", 3: "numerical"}[rc]

@@ -9,7 +9,6 @@ from hdts.experiments import (ExperimentConfig, counterexample_demo,
                               ks_permutation_pvalue, mc_long_run_sigma,
                               mdep_rate_check, mdep_oracle_norm, rate_experiment,
                               two_sample_ks)
-from hdts.io import rows_csv_text
 from hdts.longrun import true_sigma
 from hdts.model import InnovationLaw, ProcessSpec, simulate
 from hdts.rng import RngContract
@@ -100,6 +99,24 @@ def test_ga_distance_rejects_negative_n_perm(monkeypatch):
     monkeypatch.setattr(ex, "run_indexed", fail)
     with pytest.raises(ValidationError, match="n_perm must be >= 0, got -5"):
         ga_distance(ProcessSpec("iid", p=3), 50, 20, RNG, n_perm=-5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda R: ga_distance(ProcessSpec("iid", p=3), 50, R, RNG),
+    lambda R: counterexample_demo(4.0, 50, [4, 8], R, RNG),
+], ids=["ga", "counterexample"])
+@pytest.mark.parametrize("R", [0, -3])
+def test_ga_and_counterexample_reject_R_below_1_before_any_work(monkeypatch, run, R):
+    from types import SimpleNamespace
+    import hdts.experiments as ex
+
+    def fail(*args, **kwargs):
+        raise AssertionError("set-up or replications ran with R < 1")
+    monkeypatch.setattr(ex, "true_sigma", fail)                       # ga's set-up
+    monkeypatch.setattr(ex, "InnovationLaw", SimpleNamespace(symmetric_pareto=fail))
+    monkeypatch.setattr(ex, "run_indexed", fail)
+    with pytest.raises(ValidationError, match=f"R >= 1 replications, got {R}"):
+        run(R)
 
 
 def test_mc_long_run_sigma_approximates_truth():
@@ -247,14 +264,16 @@ def test_coverage_undercovers_with_misspecified_tiny_M():
     assert row["coverage"] < 0.95 - 3.0 * max(row["coverage_se"], 1e-3)
 
 
-def test_experiment_report_csv_is_stable():
+def test_experiment_report_csv_is_stable(tmp_path):
+    from hdts import io
     cfg = ExperimentConfig(spec=ProcessSpec("iid", p=4),
                            R=200, B=1000, base_seed=9, n_list=[100],
                            M_list=[1], theta_list=[0.9])
-    a = rows_csv_text(coverage_experiment(cfg).rows)
-    b = rows_csv_text(coverage_experiment(cfg).rows)
-    assert a == b
-    assert a.splitlines()[0].startswith("n,p,M,theta")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    io.write_rows_csv(a, io.rows_to_columns(coverage_experiment(cfg).rows))
+    io.write_rows_csv(b, io.rows_to_columns(coverage_experiment(cfg).rows))
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().splitlines()[0].startswith("n,p,M,theta")
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +409,9 @@ def test_replication_streams_are_distinct_across_cells(monkeypatch, run, drawer)
 
 def test_report_csv_text_equals_written_rows(tmp_path):
     from hdts import io
-    from hdts.experiments import ExperimentReport
     rows = [{"n": 100, "kind": "ga", "ks": 0.1, "pvalue": float("nan")},
             {"n": np.int64(200), "kind": "ga", "ks": np.float64(1 / 3), "pvalue": 1e-300}]
-    report = ExperimentReport(rows=rows, runtimes=[])
     io.write_rows_csv(tmp_path / "r.csv", io.rows_to_columns(rows))
-    assert (tmp_path / "r.csv").read_bytes() == io.rows_csv_text(report.rows).encode()
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"n,kind,ks,pvalue\n100,ga,0.10000000000000001,nan\n"
+        b"200,ga,0.33333333333333331,1e-300\n")

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdts.errors import ValidationError
-from hdts.model import (InnovationLaw, ProcessSpec, column_sums, lag_sum_weights,
-                        m_dependent_approx, simulate, simulate_coupled)
+from hdts.model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
+                        lag_sum_weights, simulate, simulate_coupled)
 from hdts.rng import RngContract
 from hdts.util import fit_loglog_slope
 
@@ -49,7 +49,7 @@ def test_iid_zero_mean():
 def test_linear_degenerate_lag_equals_innovations():
     spec = ProcessSpec("linear", p=3, alpha=1.0, K=0, h=0)
     panel = simulate(spec, 50, RNG.derive("deg"))
-    assert np.array_equal(panel.data, panel.innovations.values)
+    assert np.array_equal(panel.data, _draw_innovations(spec, 50, RNG.derive("deg")))
 
 
 def test_threshold_ar_reduces_to_ar1():
@@ -121,7 +121,7 @@ def _direct_convolution(spec, eps, n):
 def test_linear_panel_matches_a_direct_convolution(family, K, n, p, h, alpha, rho, seed):
     spec = ProcessSpec(family, p=p, alpha=alpha, K=K, h=h, rho=rho)
     panel = simulate(spec, n, RngContract(seed))
-    eps = panel.innovations.values
+    eps = _draw_innovations(spec, n, RngContract(seed))
     scale = (np.sum(spec.lag_weights()) * np.max(np.abs(eps))
              * np.max(np.sum(np.abs(spec.cross_mixer()), axis=1)))
     ref = _direct_convolution(spec, eps, n)
@@ -176,7 +176,7 @@ def test_threshold_ar_path_matches_a_plain_step_loop(n, burn_in, theta1, theta2,
     spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
                        burn_in=burn_in)
     panel = simulate(spec, n, RngContract(seed))
-    ref = _plain_tar_path(panel.innovations.values, theta1, theta2)[burn_in:]
+    ref = _plain_tar_path(_draw_innovations(spec, n, RngContract(seed)), theta1, theta2)[burn_in:]
     assert np.array_equal(_bits(panel.data), _bits(ref))
 
 
@@ -190,7 +190,7 @@ def test_threshold_ar_path_repairs_every_segment_after_an_impulse(theta1, theta2
     from hdts.model import _tar_paths
     eps = np.zeros((T, 3))
     eps[0] = [1.0, -1.0, 0.5]
-    _, paths = _tar_paths([eps, -eps], 2, theta1, theta2, 0)
+    paths = _tar_paths([eps, -eps], 2, theta1, theta2, 0)
     for r, path in enumerate((eps, -eps)):
         assert np.array_equal(_bits(paths[:, r]), _bits(_plain_tar_path(path, theta1, theta2)))
 
@@ -229,8 +229,6 @@ def test_simulate_many_equals_simulate_path_by_path(n, burn_in, cap, extra, thet
     assert len(panels) == len(streams)
     for panel, rng in zip(panels, streams):
         one = simulate(spec, n, rng)
-        assert panel.innovations.offset == one.innovations.offset == -burn_in
-        assert np.array_equal(_bits(panel.innovations.values), _bits(one.innovations.values))
         assert np.array_equal(_bits(panel.data), _bits(one.data))
 
 
@@ -242,9 +240,34 @@ def test_simulate_many_builds_linear_panels_one_by_one(family):
     for panel, rng in zip(simulate_many(spec, 50, streams), streams):
         one = simulate(spec, 50, rng)
         assert np.array_equal(_bits(panel.data), _bits(one.data))
-        assert np.array_equal(_bits(panel.innovations.values), _bits(one.innovations.values))
     with pytest.raises(ValidationError, match="n must be >= 1"):
         simulate_many(spec, 0, streams)
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec("linear", p=20, K=200, h=1, rho=0.5),
+    # coverage-tar's shape: 8 p (n + burn_in) bytes a path, so stacks of 4
+    ProcessSpec("threshold-ar", p=20, theta1=0.3, theta2=0.3, burn_in=1024),
+], ids=["linear", "threshold-ar"])
+@pytest.mark.parametrize("many", [False, True], ids=["simulate", "simulate_many"])
+def test_a_simulated_panel_holds_only_its_data(spec, many):
+    import tracemalloc
+    from hdts import model
+    n, streams = 500, [RNG.derive("held", r) for r in range(8 if many else 1)]
+    if many and spec.family == "threshold-ar":
+        assert model.STACK_BYTES // (8 * spec.p * (n + spec.burn_in)) == 4
+    draw = (lambda: list(model.simulate_many(spec, n, streams))) if many else \
+        (lambda: [simulate(spec, n, streams[0])])
+    draw()   # first-call allocations (BLAS buffers, caches) are not the panels'
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        panels = draw()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(panels) == len(streams)
+    assert held <= 1.1 * len(panels) * n * spec.p * 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,10 +280,13 @@ def test_threshold_ar_coupling_agrees_bit_for_bit_on_a_suffix(n, theta1, theta2,
     # two paths hold the same bits at one time holds them at every later time
     spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
                        burn_in=0)
-    x, xc = simulate_coupled(spec, n, RngContract(seed))
+    rng = RngContract(seed)
+    x, xc = simulate_coupled(spec, n, rng)
     same = _bits(x.data) == _bits(xc.data)
     assert np.all(same[1:] >= same[:-1])
-    eps0, eps0_c = x.innovations.values[0], xc.innovations.values[0]
+    # time 0 is row 0 at burn_in 0; the copy's eps_0 is the coupling stream's draw
+    eps0 = _draw_innovations(spec, n, rng)[0]
+    eps0_c = spec.innovation.sample(rng.derive("coupling").generator(), (p,))
     assert np.array_equal(same[0], _bits(eps0) == _bits(eps0_c))
 
 
@@ -268,33 +294,32 @@ def test_threshold_ar_coupling_agrees_bit_for_bit_on_a_suffix(n, theta1, theta2,
 # m-dependent approximation
 # ---------------------------------------------------------------------------
 
+def m_dependent_approx(spec, eps, m):
+    """The reference X_{i,m} = E[X_i | eps_{i-m..i}], i = 0..n-1, from the
+    innovations eps at times -K..n-1 of an iid or linear spec: the lag sum
+    truncated at min(m, K), so the panel itself for iid (K = 0)."""
+    g = spec.lag_weights()[:min(m, spec.K) + 1][::-1].copy()
+    return _lag_sums(spec, eps[spec.K - (g.shape[0] - 1):], g, 1)
+
+
 def test_mdep_identity_cases():
     spec = ProcessSpec("linear", p=3, alpha=1.0, K=4, h=1, rho=0.3)
     panel = simulate(spec, 20, RNG.derive("mdep-id"))
-    full = m_dependent_approx(spec, panel.innovations, 4)
-    assert np.array_equal(full.data, panel.data)          # m >= K keeps everything
-    beyond = m_dependent_approx(spec, panel.innovations, 9)
-    assert np.array_equal(beyond.data, panel.data)
+    eps = _draw_innovations(spec, 20, RNG.derive("mdep-id"))
+    full = m_dependent_approx(spec, eps, 4)
+    assert np.array_equal(full, panel.data)               # m >= K keeps everything
+    beyond = m_dependent_approx(spec, eps, 9)
+    assert np.array_equal(beyond, panel.data)
 
-    zero = m_dependent_approx(spec, panel.innovations, 0)
-    manual = panel.innovations.values[4:] @ (spec.lag_weights()[0] * spec.cross_mixer()).T
-    assert np.allclose(zero.data, manual, rtol=0, atol=1e-15)
+    zero = m_dependent_approx(spec, eps, 0)
+    manual = eps[4:] @ (spec.lag_weights()[0] * spec.cross_mixer()).T
+    assert np.allclose(zero, manual, rtol=0, atol=1e-15)
 
     iid_spec = ProcessSpec("iid", p=3)
     iid_panel = simulate(iid_spec, 15, RNG.derive("mdep-iid"))
+    iid_eps = _draw_innovations(iid_spec, 15, RNG.derive("mdep-iid"))
     for m in (0, 1, 7):
-        assert np.array_equal(
-            m_dependent_approx(iid_spec, iid_panel.innovations, m).data,
-            iid_panel.data)
-
-
-def test_mdep_requires_innovations():
-    spec = ProcessSpec("linear", p=2, alpha=1.0, K=3)
-    with pytest.raises(ValidationError, match="innovation record"):
-        m_dependent_approx(spec, None, 2)
-    tar = ProcessSpec("threshold-ar", p=1, burn_in=8)
-    with pytest.raises(ValidationError, match="iid and linear only"):
-        m_dependent_approx(tar, simulate(tar, 5, RNG.derive("mdep-tar")).innovations, 2)
+        assert np.array_equal(m_dependent_approx(iid_spec, iid_eps, m), iid_panel.data)
 
 
 def test_mdep_linear_l2_error_matches_tail_sum():
@@ -310,8 +335,8 @@ def test_mdep_linear_l2_error_matches_tail_sum():
     sq = np.zeros(2)
     for r in range(R):
         panel = simulate(spec, 1, base.derive("rep", r))
-        approx = m_dependent_approx(spec, panel.innovations, m)
-        sq += (panel.data[0] - approx.data[0]) ** 2
+        approx = m_dependent_approx(spec, _draw_innovations(spec, 1, base.derive("rep", r)), m)
+        sq += (panel.data[0] - approx[0]) ** 2
     mc = np.sqrt(sq / R)
     se = mc / math.sqrt(2.0 * R)  # delta-method SE for a Gaussian second moment
     assert np.all(np.abs(mc - tail) < 3.0 * se)
@@ -327,9 +352,9 @@ def test_lag_sum_weights_match_the_panel_path(family, K, n, p, h, alpha, rho, se
     spec = ProcessSpec(family, p=p, alpha=alpha, K=K, h=h, rho=rho)
     m = data.draw(st.integers(0, K + 2), label="m")
     panel = simulate(spec, n, RngContract(seed))
-    eps, B = panel.innovations.values, spec.cross_mixer()
+    eps, B = _draw_innovations(spec, n, RngContract(seed)), spec.cross_mixer()
     s_full = panel.data.sum(axis=0)
-    gap = s_full - m_dependent_approx(spec, panel.innovations, m).data.sum(axis=0)
+    gap = s_full - m_dependent_approx(spec, eps, m).sum(axis=0)
     tol = 1e-12 * np.max(np.sum(np.abs(panel.data), axis=0))
     assert np.max(np.abs((lag_sum_weights(spec, n, 0) @ eps) @ B.T - s_full)) <= tol
     assert np.max(np.abs((lag_sum_weights(spec, n, m + 1) @ eps) @ B.T - gap)) <= tol

@@ -1,5 +1,6 @@
-"""SHA-256 digests of every file the hdts CLI writes, at fixed seeds and
-small shapes, for checking that a change keeps every output byte.
+"""SHA-256 digests of every file the hdts CLI writes, and of the panels
+the library simulates, at fixed seeds and small shapes, for checking that
+a change keeps every output byte.
 
 Runs, in process and into a temporary directory, at --threads 1 and 2:
 `simulate` (a linear and a threshold-AR panel), `estimate`, `ci`,
@@ -10,7 +11,12 @@ Monte Carlo omega; `coverage` and `ga` also on threshold-AR, whose
 replications share stacked paths).  Prints one line per
 output, `<sha256>  t<threads>/<file>`.  Manifests are hashed with
 `created_utc` dropped and `report.meta.json` with `cell_runtimes_sec`
-dropped, since those hold wall-clock values.
+dropped, since those hold wall-clock values.  Then one line per library
+case, `<sha256>  lib/<case>/<sampler>`: the `panel.data` bytes of
+`simulate`, of `simulate_many` over 9 streams (several threshold-AR
+stacks) and of the `simulate_coupled` pair, for iid, linear (K, h > 0)
+and threshold-AR specs (Gaussian; shell-pareto, whose zero runs force
+segment repairs; and a path short enough for fewer than 3 segments).
 
 Every input (configs, the null matrix) is written as plain text here,
 not through hdts, so two versions of the package see the same bytes.
@@ -32,6 +38,8 @@ import tempfile
 from pathlib import Path
 
 from hdts.cli import main
+from hdts.model import InnovationLaw, ProcessSpec, simulate, simulate_coupled, simulate_many
+from hdts.rng import RngContract
 
 SEED = "11"
 
@@ -57,6 +65,18 @@ CONFIGS = {
             "m_grid = 2,4,8\n",
     "counterexample": "[experiment]\nkind = counterexample\nR = 20\nn = 64\n"
                       "p_grid = 4,16\n",
+}
+
+# (ProcessSpec keywords, n) of the library cases; 8 p (n + burn_in) bytes
+# a path makes simulate_many's threshold-AR stacks 4, 4, 1 / 4, 4, 1 / 1 x 9
+LIBRARY = {
+    "iid": (dict(family="iid", p=3), 200),
+    "linear": (dict(family="linear", p=5, alpha=0.5, K=30, h=2, rho=0.4), 200),
+    "tar": (dict(family="threshold-ar", p=20, theta1=0.3, theta2=0.3), 500),
+    "tar-shell": (dict(family="threshold-ar", p=8, theta1=0.5, theta2=-0.3, burn_in=2000,
+                       innovation=InnovationLaw.symmetric_pareto(4.0, body="shell")), 1500),
+    "tar-short": (dict(family="threshold-ar", p=40, theta1=0.98, theta2=-0.5, burn_in=0),
+                  2000),
 }
 
 NULL_P5 = "".join(",".join("1" if j == k else "0" for k in range(5)) + "\n"
@@ -122,6 +142,23 @@ def digests(threads: int) -> list[str]:
         return [f"{digest(p)}  t{threads}/{p.relative_to(d).as_posix()}" for p in files]
 
 
+def library_digests() -> list[str]:
+    lines = []
+    for case, (keywords, n) in LIBRARY.items():
+        spec, rng = ProcessSpec(**keywords), RngContract(int(SEED)).derive(case)
+        samplers = {
+            "simulate": [simulate(spec, n, rng.derive("one"))],
+            "simulate_many": simulate_many(spec, n, [rng.derive("many", r) for r in range(9)]),
+            "simulate_coupled": simulate_coupled(spec, n, rng.derive("coupled")),
+        }
+        for name, panels in samplers.items():
+            h = hashlib.sha256()
+            for panel in panels:
+                h.update(panel.data.tobytes())
+            lines.append(f"{h.hexdigest()}  lib/{case}/{name}")
+    return lines
+
+
 if __name__ == "__main__":
-    lines = digests(1) + digests(2)
+    lines = digests(1) + digests(2) + library_digests()
     sys.stdout.write("\n".join(lines) + "\n")
