@@ -31,18 +31,42 @@ _SE_RESAMPLES = 200
 def gaussian_maxabs_moment_root(p: int, q: float) -> float:
     """(E[max_{j<=p} |N_j|^q])^{1/q} for p independent standard normals.
 
-    Uses E M^q = int_0^inf q u^{q-1} P(M > u) du with the stable tail
-    P(M > u) = 1 - exp(p*log(1 - 2*Phi^c(u))).
+    Uses E M^q = int_0^inf f(u) du with f(u) = q u^{q-1} P(M > u) and the
+    stable tail P(M > u) = 1 - exp(p*log(1 - 2*Phi^c(u))), integrated in log
+    space as f / f(u*), u* the peak of f, so that neither u^{q-1} nor the
+    moment leaves the float range before the q-th root is taken.  log f is
+    concave, with curvature at least (q-1)/u*^2 left of the peak and about 1
+    right of it, so 40 such widths either side hold all of the integral but
+    a factor e^-800.  log f carries a rounding error of |log f(u*)| ulps,
+    which bounds the tolerance quad can meet; the root loses only that over
+    q.  Where it exceeds 1e-3 (q beyond about 1e10), NumericalError.
     """
-    from scipy import integrate
-    from scipy.stats import norm
+    from scipy import integrate, optimize
+    from scipy.special import log_ndtr, ndtr
 
-    def tail(u):
-        return -np.expm1(p * np.log1p(-2.0 * norm.sf(u)))
+    def log_f(u: float) -> float:
+        if u <= 0.0:
+            return -math.inf
+        tail = -math.expm1(p * math.log1p(-2.0 * float(ndtr(-u))))
+        # once Phi^c(u) underflows, P(M > u) = 2 p Phi^c(u) to double precision
+        log_tail = math.log(tail) if tail > 0.0 else math.log(2.0 * p) + float(log_ndtr(-u))
+        return math.log(q) + (q - 1.0) * math.log(u) + log_tail
 
-    val, _ = integrate.quad(lambda u: q * u ** (q - 1.0) * tail(u),
-                            0.0, np.inf, limit=200)
-    return val ** (1.0 / q)
+    # the peak lies below sqrt(q - 1) or at the bulk of M, near sqrt(2 log 2p)
+    hi = math.sqrt(q) + math.sqrt(2.0 * math.log(2.0 * p)) + 10.0
+    # log f / q stays within a few hundred where log f would leave the float range
+    peak = float(optimize.minimize_scalar(lambda u: -log_f(u) / q, bounds=(0.0, hi),
+                                          method="bounded").x)
+    top = log_f(peak)
+    rounding = 16.0 * np.finfo(float).eps * abs(top)
+    if not rounding <= 1e-3:
+        raise NumericalError(
+            f"E max|N|^q is not resolved in double precision at q = {q!r}")
+    lo = max(0.0, peak - 40.0 * max(1.0, peak / math.sqrt(q - 1.0)))
+    mass = sum(integrate.quad(lambda u: math.exp(log_f(u) - top), a, b, limit=200,
+                              epsabs=0.0, epsrel=max(1e-10, rounding))[0]
+               for a, b in ((lo, peak), (peak, peak + 40.0)))
+    return math.exp((top + math.log(mass)) / q)
 
 
 # ---------------------------------------------------------------------------

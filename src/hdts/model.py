@@ -298,6 +298,12 @@ def _student_t_diff_norm(df: float, q: float) -> float:
     return (2.0 * val) ** (1.0 / q)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: the arrays a cache shares with every caller."""
+    a.setflags(write=False)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Process specification
 # ---------------------------------------------------------------------------
@@ -351,19 +357,21 @@ class ProcessSpec:
                 raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
 
     # -- linear-family coefficients -----------------------------------------
+    # Built once per spec and shared by every caller, so they are read-only.
 
+    @functools.lru_cache(maxsize=8)
     def lag_weights(self) -> np.ndarray:
         """Temporal weights c_k = (k+1)^{-(alpha+1)}, k = 0..K."""
         k = np.arange(self.K + 1, dtype=float)
-        return (k + 1.0) ** (-(self.alpha + 1.0))
+        return _read_only((k + 1.0) ** (-(self.alpha + 1.0)))
 
+    @functools.lru_cache(maxsize=8)
     def cross_mixer(self) -> np.ndarray:
         """Banded cross-sectional mixer B[j,l] = rho^{|j-l|} 1{|j-l| <= h}."""
         if self.h == 0:
-            return np.eye(self.p)
+            return _read_only(np.eye(self.p))
         dist = np.abs(np.subtract.outer(np.arange(self.p), np.arange(self.p)))
-        B = np.where(dist <= self.h, self.rho ** dist, 0.0)
-        return B
+        return _read_only(np.where(dist <= self.h, self.rho ** dist, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +539,15 @@ def _draw_innovations(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray
     return spec.innovation.sample(rng.derive("innovations").generator(), (n + presample, spec.p))
 
 
+@functools.lru_cache(maxsize=8)
+def _panel_weights(spec: ProcessSpec) -> np.ndarray:
+    """c reversed and contiguous, the panel rows' window weights; not
+    lag_sum_weights(spec, 1, 0): equal up to rounding, and cheaper."""
+    return _read_only(spec.lag_weights()[::-1].copy())
+
+
 def _linear_panel(spec: ProcessSpec, eps: np.ndarray) -> Panel:
-    # c reversed, not lag_sum_weights(spec, 1, 0): equal up to rounding, and cheaper
-    return Panel(_lag_sums(spec, eps, spec.lag_weights()[::-1].copy(), 1))
+    return Panel(_lag_sums(spec, eps, _panel_weights(spec), 1))
 
 
 def _tar_panels(spec: ProcessSpec, values, S: int):
@@ -598,11 +612,13 @@ def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel
     return _linear_panel(spec, eps), _linear_panel(spec, eps_c)
 
 
+@functools.lru_cache(maxsize=8)
 def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
     """D_t = sum of c_k over first_lag <= k <= K with 0 <= t + k <= n - 1, for
     t = -K..n-1 (iid and linear families; K = 0 for iid).  With eps the
     innovations at those times, (D @ eps) @ B.T is S_n for first_lag = 0 and
-    S_n - S_{n,m} for first_lag = m + 1."""
+    S_n - S_{n,m} for first_lag = m + 1.  Built once per (spec, n, first_lag)
+    and shared, so read-only."""
     c = spec.lag_weights()
     K = c.shape[0] - 1
     # ts[k] = sum_{j>=k} c_j: a segment deep in the decaying tail is then a
@@ -611,7 +627,7 @@ def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
     t = np.arange(-K, n)
     lo = np.clip(np.maximum(first_lag, -t), 0, K + 1)
     hi = np.clip(np.minimum(K, n - 1 - t) + 1, 0, K + 1)
-    return np.where(hi > lo, ts[lo] - ts[hi], 0.0)
+    return _read_only(np.where(hi > lo, ts[lo] - ts[hi], 0.0))
 
 
 def column_sums(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray:

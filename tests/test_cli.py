@@ -910,6 +910,16 @@ def test_check_conditions_on_degenerate_or_extreme_profiles_exits_cleanly(
     assert (rc, body["type"]) == (code, {2: "validation", 3: "numerical"}[code])
 
 
+def test_check_conditions_at_a_high_moment_order_exits_0(tmp_path, capsys):
+    # the Gaussian max-moment root at p = 5 once overflowed from q = 89 on
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 5\n")
+    rc = main(["check-conditions", "--config", str(cfg), "--q", "90", "--n", "1000"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert json.loads(out)["q"] == 90.0
+
+
 @pytest.mark.parametrize("h, q, code", [("0", "1e308", 3), ("1", "200", 2), ("1", "1e308", 2)])
 def test_check_conditions_overflow_in_the_closed_form_profile_exits_cleanly(
         tmp_path, capsys, h, q, code):

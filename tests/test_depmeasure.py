@@ -96,6 +96,46 @@ def test_maxabs_moment_root_against_mc():
         assert gaussian_maxabs_moment_root(7, q) == pytest.approx(mc, rel=0.01)
 
 
+def _linear_space_maxabs_moment_root(p, q):
+    """The moment root integrated as q u^(q-1) P(M > u) in linear space,
+    which holds where u^(q-1) stays in the float range (q <= 80 here)."""
+    from scipy import integrate
+    from scipy.stats import norm
+    val, _ = integrate.quad(
+        lambda u: q * u ** (q - 1.0) * -np.expm1(p * np.log1p(-2.0 * norm.sf(u))),
+        0.0, np.inf, limit=200)
+    return val ** (1.0 / q)
+
+
+@pytest.mark.parametrize("p", [2, 5, 50])
+@pytest.mark.parametrize("q", [89.0, 90.0, 120.0, 400.0])
+def test_maxabs_moment_root_is_finite_at_high_orders(p, q):
+    # E M^q = p E|N|^q minus terms of order P(|N| > u)^2 at u ~ sqrt(q),
+    # below 1e-19 of it here: the root is p^(1/q) times one |N|'s
+    assert gaussian_maxabs_moment_root(p, q) == pytest.approx(
+        p ** (1.0 / q) * gaussian_abs_moment_root(q), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("q", [2.0, 8.0, 90.0, 400.0])
+def test_maxabs_moment_root_of_one_normal_is_the_closed_form(q):
+    assert gaussian_maxabs_moment_root(1, q) == pytest.approx(
+        gaussian_abs_moment_root(q), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 50, 1000])
+def test_maxabs_moment_root_keeps_the_linear_space_values(p):
+    for q in (2.0, 2.5, 3.0, 4.0, 8.0, 20.0, 50.0, 80.0):
+        assert gaussian_maxabs_moment_root(p, q) == pytest.approx(
+            _linear_space_maxabs_moment_root(p, q), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("p", [2, 5, 50])
+def test_maxabs_moment_root_is_nondecreasing_in_q(p):
+    roots = [gaussian_maxabs_moment_root(p, q)
+             for q in (2.0, 3.0, 8.0, 20.0, 80.0, 88.0, 89.0, 90.0, 120.0, 400.0, 1e4)]
+    assert all(np.isfinite(roots)) and roots == sorted(roots)
+
+
 def test_student_t_profile_uses_quadrature_moment():
     spec = ProcessSpec("linear", p=2, alpha=1.0, K=5, h=0,
                        innovation=InnovationLaw.student_t(8.0))

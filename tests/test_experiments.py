@@ -138,12 +138,27 @@ def test_ga_distance_matches_a_panel_reference():
     assert np.allclose(res.sample_stats, ref, rtol=1e-12, atol=0)
 
 
-def test_ga_distance_threads_do_not_change_results():
-    spec = ProcessSpec("linear", p=5, alpha=1.0, K=20, h=0)
+@pytest.mark.parametrize("h, rho", [(0, 0.0), (2, 0.5)])
+def test_ga_distance_threads_do_not_change_results(h, rho):
+    # h > 0 runs the cross mixer; with the coefficient caches cleared, the
+    # worker threads build the lag-sum weights and share them, switching
+    # often enough to race on a cache miss
+    import sys
+    from hdts import model
+    spec = ProcessSpec("linear", p=5, alpha=1.0, K=20, h=h, rho=rho)
     a = ga_distance(spec, 100, 200, RngContract(77), n_perm=0, threads=1)
-    b = ga_distance(spec, 100, 200, RngContract(77), n_perm=0, threads=8)
-    assert np.array_equal(a.sample_stats, b.sample_stats)
-    assert a.ks == b.ks
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (2, 8):
+            for cached in (ProcessSpec.lag_weights, ProcessSpec.cross_mixer,
+                           model.lag_sum_weights, model._panel_weights):
+                cached.cache_clear()
+            b = ga_distance(spec, 100, 200, RngContract(77), n_perm=0, threads=threads)
+            assert a.sample_stats.tobytes() == b.sample_stats.tobytes()
+            assert a.ks == b.ks
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_run_indexed_runs_each_run_in_order_on_one_thread():

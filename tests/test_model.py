@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdts import model
 from hdts.errors import ValidationError
 from hdts.model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
                         lag_sum_weights, simulate, simulate_coupled)
@@ -433,6 +434,79 @@ def test_lag_sum_weights_keep_their_digits_in_the_tail(first_lag):
         else:
             assert d == 0.0
     assert worst <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# coefficient arrays built once per spec
+# ---------------------------------------------------------------------------
+
+def _clear_coefficient_caches():
+    for cached in (ProcessSpec.lag_weights, ProcessSpec.cross_mixer,
+                   model.lag_sum_weights, model._panel_weights):
+        cached.cache_clear()
+
+
+def _coefficient_arrays(spec, n=50, first_lag=0):
+    return {"lag_weights": spec.lag_weights(), "cross_mixer": spec.cross_mixer(),
+            "lag_sum_weights": lag_sum_weights(spec, n, first_lag),
+            "panel_weights": model._panel_weights(spec)}
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec("iid", p=3),
+                                  ProcessSpec("linear", p=4, K=6, h=0),
+                                  ProcessSpec("linear", p=4, K=6, h=2, rho=0.5)])
+def test_coefficient_arrays_are_shared_and_read_only(spec):
+    first = _coefficient_arrays(spec)
+    for name, a in _coefficient_arrays(spec).items():
+        assert a is first[name], name
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
+def test_specs_or_calls_that_differ_never_share_a_coefficient_array():
+    base = dict(family="linear", p=4, alpha=1.0, K=6, h=2, rho=0.5)
+    spec = ProcessSpec(**base)
+    arrays = _coefficient_arrays(spec)
+    for key, value in (("p", 5), ("K", 7), ("h", 1), ("rho", 0.25), ("alpha", 1.5),
+                       ("family", "iid")):
+        for name, a in _coefficient_arrays(ProcessSpec(**{**base, key: value})).items():
+            assert not np.shares_memory(a, arrays[name]), (key, name)
+    D = [lag_sum_weights(spec, n, first_lag) for n, first_lag in ((50, 0), (51, 0), (50, 2))]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not np.shares_memory(D[i], D[j])
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["iid", "linear"]), K=st.integers(0, 40),
+       n=st.integers(1, 80), p=st.integers(1, 4), h=st.integers(0, 2),
+       alpha=st.floats(0.0, 3.0), rho=st.floats(0.0, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_coefficient_arrays_change_no_bit(family, K, n, p, h, alpha, rho, seed):
+    # every consumer of the shared arrays, with warm caches (some entries
+    # for other specs) against the same call with every cache cleared first
+    from hdts.experiments import ga_distance, mdep_rate_check
+    spec = ProcessSpec(family, p=p, alpha=alpha, K=K, h=h, rho=rho)
+    other = ProcessSpec("linear", p=p + 1, alpha=alpha + 0.5, K=K + 1, h=1, rho=0.3)
+    rng = RngContract(seed)
+
+    def outputs():
+        return [column_sums(spec, n, rng.derive("sum", 0)),
+                column_sums(spec, n, rng.derive("sum", 1)),
+                simulate(spec, n, rng.derive("panel")).data,
+                *(panel.data for panel in simulate_coupled(spec, n, rng.derive("coupled"))),
+                mdep_rate_check(spec, 2.0, 1.0, [1, 2, 3], 2, rng, n=n).mc_norm,
+                ga_distance(spec, n, 9, rng, n_perm=0).sample_stats]
+
+    outputs()
+    column_sums(other, n + 1, rng)
+    warm = outputs()
+    _clear_coefficient_caches()
+    cold = outputs()
+    for a, b in zip(warm, cold):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

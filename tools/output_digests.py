@@ -5,10 +5,11 @@ a change keeps every output byte.
 Runs, in process and into a temporary directory, at --threads 1 and 2:
 `simulate` (a linear and a threshold-AR panel), `estimate`, `ci`,
 `covtest` with and without `--null`, `check-conditions --out`, and
-`experiment` for all five kinds with `--dump-ecdf` (`rate` twice: at
-h = 0, and at h = 2, where the closed-form profile would draw its
-Monte Carlo omega; `coverage` and `ga` also on threshold-AR, whose
-replications share stacked paths).  Prints one line per
+`experiment` for all five kinds with `--dump-ecdf` (`rate` and `ga`
+twice: at h = 0, and at h = 2, where the closed-form profile would draw
+its Monte Carlo omega and every sum passes through the cross mixer;
+`coverage` and `ga` also on threshold-AR, whose replications share
+stacked paths).  Prints one line per
 output, `<sha256>  t<threads>/<file>`.  Manifests are hashed with
 `created_utc` dropped and `report.meta.json` with `cell_runtimes_sec`
 dropped, since those hold wall-clock values.  Then one line per library
@@ -16,7 +17,8 @@ case, `<sha256>  lib/<case>/<sampler>`: the `panel.data` bytes of
 `simulate`, of `simulate_many` over 9 streams (several threshold-AR
 stacks) and of the `simulate_coupled` pair, for iid, linear (K, h > 0)
 and threshold-AR specs (Gaussian; shell-pareto, whose zero runs force
-segment repairs; and a path short enough for fewer than 3 segments).
+segment repairs; and a path short enough for fewer than 3 segments), and
+the bytes of `column_sums` over 9 streams for the iid and linear specs.
 
 Every input (configs, the null matrix) is written as plain text here,
 not through hdts, so two versions of the package see the same bytes.
@@ -38,7 +40,8 @@ import tempfile
 from pathlib import Path
 
 from hdts.cli import main
-from hdts.model import InnovationLaw, ProcessSpec, simulate, simulate_coupled, simulate_many
+from hdts.model import (InnovationLaw, ProcessSpec, column_sums, simulate, simulate_coupled,
+                        simulate_many)
 from hdts.rng import RngContract
 
 SEED = "11"
@@ -55,6 +58,8 @@ CONFIGS = {
     "coverage-tar": "[process]\nfamily = threshold-ar\np = 8\ntheta1 = 0.4\ntheta2 = -0.2\n"
                     "burn_in = 2000\n[experiment]\nkind = coverage\nR = 200\nB = 1000\n"
                     "n = 150\np = 8\nM = 0\ntheta = 0.9\n",
+    "ga-h2": "[process]\nfamily = linear\np = 4\nK = 20\nh = 2\nrho = 0.5\n[experiment]\n"
+             "kind = ga\nR = 20\nn = 100\nn_perm = 50\n",
     "ga-tar": "[process]\nfamily = threshold-ar\np = 4\ntheta1 = 0.5\ntheta2 = -0.3\n"
               "burn_in = 100\n[experiment]\nkind = ga\nR = 20\nn = 100\nn_perm = 50\n",
     "rate": "[process]\np = 4\nK = 20\n[experiment]\nkind = rate\nR = 6\n"
@@ -105,7 +110,7 @@ def runs(d: Path, threads: int) -> list[list[str]]:
                  "--null", str(d / "null.csv"), "--out", str(d / "lin-ctnull")],
             g + ["check-conditions", "--config", cfg["lin"], "--n", "4096",
                  "--out", str(d / "cc.json")]]
-    for kind in ("coverage", "coverage-tar", "ga", "ga-tar", "rate", "rate-h2", "mdep",
+    for kind in ("coverage", "coverage-tar", "ga", "ga-h2", "ga-tar", "rate", "rate-h2", "mdep",
                  "counterexample"):
         out.append(g + ["experiment", "--config", cfg[kind],
                         "--out-dir", str(d / f"exp-{kind}"), "--dump-ecdf"])
@@ -147,14 +152,19 @@ def library_digests() -> list[str]:
     for case, (keywords, n) in LIBRARY.items():
         spec, rng = ProcessSpec(**keywords), RngContract(int(SEED)).derive(case)
         samplers = {
-            "simulate": [simulate(spec, n, rng.derive("one"))],
-            "simulate_many": simulate_many(spec, n, [rng.derive("many", r) for r in range(9)]),
-            "simulate_coupled": simulate_coupled(spec, n, rng.derive("coupled")),
+            "simulate": [simulate(spec, n, rng.derive("one")).data],
+            "simulate_many": (panel.data for panel in
+                              simulate_many(spec, n, [rng.derive("many", r) for r in range(9)])),
+            "simulate_coupled": [panel.data for panel in
+                                 simulate_coupled(spec, n, rng.derive("coupled"))],
         }
-        for name, panels in samplers.items():
+        if spec.family != "threshold-ar":
+            samplers["column_sums"] = [column_sums(spec, n, rng.derive("sums", r))
+                                       for r in range(9)]
+        for name, arrays in samplers.items():
             h = hashlib.sha256()
-            for panel in panels:
-                h.update(panel.data.tobytes())
+            for a in arrays:
+                h.update(a.tobytes())
             lines.append(f"{h.hexdigest()}  lib/{case}/{name}")
     return lines
 
