@@ -15,7 +15,7 @@ from .longrun import (BlockPlan, LongRunEstimate, autocovariance,
                       sigma_M_target, sigma_hat, sigma_tilde, theoretical_rate,
                       true_sigma, v_of_M)
 from .gboot import (BootstrapQuantile, CiReport, bootstrap_quantile, psd_sqrt,
-                    simultaneous_ci)
+                    simultaneous_ci, simultaneous_cis)
 from .covinf import (CovPanel, CovTestResult, build_cov_panel, cov_dep_norm_bound,
                      cov_simultaneous_test, mc_cov_norms, n_pairs, pair_indices)
 from .experiments import (CounterexampleResult, ExperimentConfig,

@@ -456,6 +456,8 @@ def main(argv=None) -> int:
         ap.print_help()
         return 0
     try:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return _DISPATCH[args.command](args)
     except (NumericalError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": "numerical"}) + "\n")

@@ -205,10 +205,19 @@ def _coord_scale(spec: ProcessSpec, order: float) -> np.ndarray:
 
 
 def _coord_aggregate(Delta: np.ndarray, q: float, alpha: float):
-    """(coord_norms, Psi, Upsilon) from the per-coordinate tail sums."""
+    """(coord_norms, Psi, Upsilon) from the per-coordinate tail sums.
+
+    Upsilon = (sum_j c_j^q)^(1/q); where that sum overflows, it is taken as
+    m (sum_j (c_j/m)^q)^(1/q) with m = max_j c_j, which is finite wherever
+    the norms are.
+    """
     coord_norms = adjusted_norms(Delta, alpha)
-    Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
-    return coord_norms, float(np.max(coord_norms)), Upsilon
+    Psi = float(np.max(coord_norms))
+    with np.errstate(over="ignore"):
+        Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
+    if math.isinf(Upsilon) and math.isfinite(Psi):
+        Upsilon = Psi * float(np.sum((coord_norms / Psi) ** q) ** (1.0 / q))
+    return coord_norms, Psi, Upsilon
 
 
 def _linf_aggregate(Omega: np.ndarray, Upsilon: float, alpha: float, p: int):

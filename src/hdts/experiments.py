@@ -7,7 +7,10 @@ call per cell and one replication call per index; run_indexed hands each
 thread runs of consecutive replications, and a kind may ask once per run
 for inputs those replications share.  `coverage`, and `ga` on threshold-AR,
 do so: a run's panels come from one model.simulate_many call, which steps
-threshold-AR paths in stacks within model.STACK_BYTES.  Cell streams are
+threshold-AR paths in stacks within model.STACK_BYTES, and `coverage`
+hands them to one gboot.simultaneous_cis call, which builds the run's
+estimates and bootstrap factors as one stack and draws each replication's
+multipliers when its report is taken.  Cell streams are
 derived with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`;
 replication r of the single-cell kinds derives `ga-panel` or `mdep-panel`.
 Reports are bit-reproducible for a fixed configuration whatever the thread
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .gboot import psd_sqrt, simultaneous_ci
+from .gboot import psd_sqrt, simultaneous_cis
 from .longrun import plan_blocks, sigma_tilde, theoretical_rate, true_sigma
 from .depmeasure import _check_order, _delta_profile
 from .model import (InnovationLaw, ProcessSpec, _draw_innovations, _lag_sums, column_sums,
@@ -234,16 +237,15 @@ def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
     cells = [(n, replace(config.spec, p=p), M, theta, base.derive("coverage-cell", ci))
              for ci, (n, p, M, theta) in enumerate(config.cells())]
 
-    def panels(cell, rs: range):
-        n, spec, _, _, stream = cell
-        return simulate_many(spec, n, [stream.derive("panel", r) for r in rs])
+    def reports(cell, rs: range):
+        n, spec, M, theta, stream = cell
+        return simultaneous_cis(simulate_many(spec, n, [stream.derive("panel", r) for r in rs]),
+                                theta, M, config.B, [stream.derive("boot", r) for r in rs])
 
-    def one_rep(cell, r: int, panel):
-        _, spec, M, theta, stream = cell
-        report = simultaneous_ci(panel, theta, M, config.B, stream.derive("boot", r))
-        return report.covers(np.zeros(spec.p)), float(np.median(report.half_widths()))
+    def one_rep(cell, r: int, report):
+        return report.covers(np.zeros(cell[1].p)), float(np.median(report.half_widths()))
 
-    outputs, runtimes = _replicate(cells, one_rep, config.R, config.threads, panels)
+    outputs, runtimes = _replicate(cells, one_rep, config.R, config.threads, reports)
     rows = []
     for (n, spec, M, theta, _), out in zip(cells, outputs):
         cov = float(np.mean([o[0] for o in out], dtype=float))

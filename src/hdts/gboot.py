@@ -18,6 +18,14 @@ Each call keeps one chunk-sized product buffer: every chunk's eta @ F is
 written into it and its |.| and row maxima are taken in place, straight
 into the draw vector.  The product is never tiled: row or column tiles of
 a gemm may round differently from the whole product.
+
+Intervals are built for a run of same-shape panels at once
+(simultaneous_cis): their estimates come from one stacked block-sum
+reduction (longrun.centred_stack) and their factors from stacked arrays,
+one stacked QR among them; each panel then draws its own multipliers.  A
+stacked reduction, einsum or QR gives each panel the bits it gets alone,
+so simultaneous_ci, the one-panel case, and bootstrap_quantile, the
+one-estimate case, keep their bits.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, NumericalError, ValidationError
-from .longrun import LongRunEstimate, plan_blocks, sigma_tilde
+from .longrun import LongRunEstimate, centred_stack, plan_blocks
 from .model import Panel
 from .rng import RngContract
 
@@ -85,45 +93,42 @@ def _quantile_se(sorted_draws: np.ndarray, theta: float) -> float:
     return 0.5 * float(sorted_draws[k_hi - 1] - sorted_draws[k_lo - 1])
 
 
-def _unit_factor(est: LongRunEstimate) -> np.ndarray:
-    """Factor F_n with F_n^T F_n the correlation matrix of est.
-
-    Fails when a coordinate is degenerate: a column of the block sums whose
-    norm is within the rounding noise floor of its data.  The norms are
-    finite: LongRunEstimate refuses a non-finite diagonal.
-    """
-    Y = est.block_sums
-    norms = np.linalg.norm(Y, axis=0)
-    flat = np.flatnonzero(norms <= est.noise_floor)
-    if flat.size:
-        raise AssumptionError(
-            "degenerate coordinate in the long-run estimate: the requirement "
-            f"min_j sigma_jj >= c fails for column(s) {(flat + 1).tolist()[:10]}, "
-            "whose block sums are at rounding level")
-    if Y.shape[0] > Y.shape[1]:
-        # R with a nonnegative diagonal is the Cholesky factor of Y^T Y, so
-        # the draws do not depend on the Householder sign convention, and for
-        # weakly correlated data R is close to the symmetric root
-        Y = np.linalg.qr(Y, mode="r")
-        Y *= np.where(np.diag(Y) < 0.0, -1.0, 1.0)[:, None]
-        norms = np.linalg.norm(Y, axis=0)
-    return Y / norms
-
-
-def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
-                       rng: RngContract) -> BootstrapQuantile:
-    """Estimate the conditional theta-quantile of max_j |Z_j|/sqrt(sigma_jj).
-
-    chi is the ceil(theta*B)-th order statistic of B multiplier draws.
-    Fails when any coordinate is (numerically) degenerate, i.e. the
-    minimum long-run variance requirement min_j sigma_jj >= c is violated.
-    """
+def _check_level(theta: float, B: int) -> None:
     if not 0.0 < theta < 1.0:
         raise ValidationError(f"coverage level theta must lie in (0,1), got {theta}")
     if B < 1000:
         raise ValidationError(f"need B >= 1000 bootstrap draws, got {B}")
-    F = _unit_factor(est)
 
+
+def _unit_factors(Y: np.ndarray, noise_floor: np.ndarray) -> np.ndarray:
+    """Factors F_s with F_s^T F_s the correlation matrix of the block sums
+    Y[s], for a stack Y (S, w, p) of finite block sums and their noise
+    floors (S, p); one stacked QR when w > p.
+
+    Fails at the first panel with a degenerate coordinate: a column of the
+    block sums whose norm is within the rounding noise floor of its data.
+    The factor of each panel is bit for bit its factor alone.
+    """
+    norms = np.linalg.norm(Y, axis=1)
+    flat = norms <= noise_floor
+    if flat.any():
+        cols = np.flatnonzero(flat[np.argmax(flat.any(axis=1))])
+        raise AssumptionError(
+            "degenerate coordinate in the long-run estimate: the requirement "
+            f"min_j sigma_jj >= c fails for column(s) {(cols + 1).tolist()[:10]}, "
+            "whose block sums are at rounding level")
+    if Y.shape[1] > Y.shape[2]:
+        # R with a nonnegative diagonal is the Cholesky factor of Y^T Y, so
+        # the draws do not depend on the Householder sign convention, and for
+        # weakly correlated data R is close to the symmetric root
+        Y = np.linalg.qr(Y, mode="r")
+        Y *= np.where(np.diagonal(Y, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, :, None]
+        norms = np.linalg.norm(Y, axis=1)
+    return Y / norms[:, None, :]
+
+
+def _quantile(F: np.ndarray, theta: float, B: int, rng: RngContract) -> BootstrapQuantile:
+    """The draws max_j |eta F|_j and their theta-quantile."""
     # the buffer belongs to this call: calls may run on several threads at once
     draws = np.empty(B)
     buf = np.empty((min(B, _DRAW_CHUNK), F.shape[1]))
@@ -139,6 +144,19 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
     chi = _order_statistic(sorted_draws, theta)
     se = _quantile_se(sorted_draws, theta)
     return BootstrapQuantile(chi=chi, chi_se=se, draws=draws)
+
+
+def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
+                       rng: RngContract) -> BootstrapQuantile:
+    """Estimate the conditional theta-quantile of max_j |Z_j|/sqrt(sigma_jj).
+
+    chi is the ceil(theta*B)-th order statistic of B multiplier draws.
+    Fails when any coordinate is (numerically) degenerate, i.e. the
+    minimum long-run variance requirement min_j sigma_jj >= c is violated.
+    """
+    _check_level(theta, B)
+    F = _unit_factors(est.block_sums[None], est.noise_floor[None])[0]
+    return _quantile(F, theta, B, rng)
 
 
 @dataclass
@@ -170,20 +188,60 @@ class CiReport:
                 "B": self.B, "M": self.M, "w": self.w, "n": self.n}
 
 
+def simultaneous_cis(panels, theta: float, M: int | None, B: int, rngs):
+    """simultaneous_ci(panels[s], theta, M, B, rngs[s]) for every s, as an
+    iterator of reports, each bit for bit the one-panel call's.
+
+    The panels share one shape.  Their estimates and unit factors are built
+    up front as stacks (longrun.centred_stack, _unit_factors); panel s's
+    multipliers are drawn when its report is taken.  A failing panel raises
+    up front the error simultaneous_ci raises for it, and the first one in
+    panel order wins.
+    """
+    panels, rngs = list(panels), list(rngs)
+    if len(rngs) != len(panels):
+        raise ValidationError(f"need one stream per panel, got {len(rngs)} for "
+                              f"{len(panels)} panels")
+    if not panels:
+        return iter(())
+    if len({panel.data.shape for panel in panels}) > 1:
+        raise ValidationError("panels of one call must share one shape")
+    # one panel is its own stack: no copy of it
+    data = panels[0].data[None] if len(panels) == 1 else \
+        np.stack([panel.data for panel in panels])
+    n = data.shape[1]
+    plan = plan_blocks(n, M)
+    est = centred_stack(data, plan)
+    # the checks of panel s in simultaneous_ci's order: a finite estimate,
+    # then theta and B, then no degenerate coordinate
+    finite = np.all(np.isfinite(est.diag), axis=1)
+    k = len(panels) if finite.all() else int(np.argmin(finite))
+    if k == 0:
+        est.estimate(0)                # raises sigma_tilde's NumericalError
+    _check_level(theta, B)
+    F = _unit_factors(est.block_sums[:k], est.noise_floor[:k])
+    if k < len(panels):
+        est.estimate(k)
+    mu_hat = data.mean(axis=1)
+    scale = np.sqrt(est.diag)
+
+    def reports():
+        for s, rng in enumerate(rngs):
+            bq = _quantile(F[s], theta, B, rng)
+            half = bq.chi * scale[s] / math.sqrt(n)
+            yield CiReport(mu_hat=mu_hat[s], lo=mu_hat[s] - half, hi=mu_hat[s] + half,
+                           sigma_diag=est.diag[s], theta=theta, chi=bq.chi,
+                           chi_se=bq.chi_se, B=B, M=plan.M, w=plan.w, n=n)
+    return reports()
+
+
 def simultaneous_ci(panel: Panel, theta: float, M: int | None, B: int,
                     rng: RngContract) -> CiReport:
-    """Simultaneous confidence intervals for the mean vector.
+    """Simultaneous confidence intervals for the mean vector; the one-panel
+    case of simultaneous_cis.
 
     Pipeline: mean-subtracted batched estimate -> multiplier bootstrap
     quantile -> intervals mu_hat_j +/- chi * sqrt(sigma_tilde_jj) / sqrt(n).
     The sqrt(n) divisor matches the CLT scaling of sqrt(n)(X_bar - mu).
     """
-    plan = plan_blocks(panel.n, M)
-    est = sigma_tilde(panel, plan)
-    bq = bootstrap_quantile(est, theta, B, rng)
-    mu_hat = panel.data.mean(axis=0)
-    half = bq.chi * est.diag_scale / math.sqrt(panel.n)
-    return CiReport(mu_hat=mu_hat, lo=mu_hat - half, hi=mu_hat + half,
-                    sigma_diag=est.diag, theta=theta,
-                    chi=bq.chi, chi_se=bq.chi_se, B=B, M=plan.M, w=plan.w,
-                    n=panel.n)
+    return next(simultaneous_cis([panel], theta, M, B, [rng]))

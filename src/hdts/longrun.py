@@ -3,7 +3,9 @@ associated theoretical targets and convergence rates.
 
 The sample is cut into w = floor(n/M) non-overlapping blocks of length M
 (trailing observations are dropped and reported); the estimator averages
-outer products of block sums.
+outer products of block sums.  The centred estimator is built for a stack
+of same-shape panels at once (centred_stack); sigma_tilde is its
+one-panel case.
 """
 
 from __future__ import annotations
@@ -57,16 +59,18 @@ class LongRunEstimate:
 
     abs_max bounds each column of the data summed, and sigma = Y^T Y / (M w)
     is formed only when read.  The diagonal is computed when the estimate
-    is built, and a non-finite one raises NumericalError; since each
+    is built, unless the caller passes it from a stack (see CentredStack),
+    and a non-finite one raises NumericalError; since each
     |sigma_jk| <= sqrt(sigma_jj sigma_kk), that bounds every entry of sigma
     and every column norm of Y.
     """
 
-    def __init__(self, *, plan: BlockPlan, block_sums: np.ndarray, abs_max: np.ndarray):
+    def __init__(self, *, plan: BlockPlan, block_sums: np.ndarray, abs_max: np.ndarray,
+                 diag: np.ndarray | None = None):
         self.plan = plan
         self.block_sums = block_sums
         self.abs_max = abs_max
-        self.diag = np.einsum("ij,ij->j", block_sums, block_sums) / (plan.M * plan.w)
+        self.diag = _diag(plan, block_sums) if diag is None else diag
         if not np.all(np.isfinite(self.diag)):
             raise NumericalError("the long-run estimate is not finite")
         self._sigma = None
@@ -76,28 +80,14 @@ class LongRunEstimate:
                 abs_max: np.ndarray) -> "LongRunEstimate":
         """Estimate from block sums centred at their mean over the w blocks,
         which for the block sums of data is M times the mean of the used
-        observations.  Overflow here leaves a non-finite diagonal, which
-        the constructor reports."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            centred = block_sums - block_sums.mean(axis=0)
-        return cls(plan=plan, block_sums=centred, abs_max=abs_max)
+        observations."""
+        return cls(plan=plan, block_sums=_centre(block_sums), abs_max=abs_max)
 
     @property
     def noise_floor(self) -> np.ndarray:
-        """Per-column norm of the block sums that rounding alone can produce.
-
-        A worst-case bound for naive summation: a block sum errs by at most
-        M^2 u max|x| and M times the mean of the used observations by
-        M * wM * u max|x| (u = eps/2), over w blocks.  The bound still holds
-        when centring uses the mean of the block sums: that mean errs by at
-        most (M-1)M u max|x| + wM u max|x|, so a centred block sum errs by
-        at most 2(M-1)M u max|x| + wM u max|x| <= M(M + wM) u max|x|.  It
-        scales with the data, so a degeneracy check built on it is
-        scale-invariant.
-        """
-        plan = self.plan
-        u = 0.5 * np.finfo(float).eps
-        return u * plan.M * (plan.M + plan.used) * math.sqrt(plan.w) * self.abs_max
+        """Per-column norm of the block sums that rounding alone can produce
+        (see _noise_floor)."""
+        return _noise_floor(self.plan, self.abs_max)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -113,17 +103,77 @@ class LongRunEstimate:
         return np.sqrt(self.diag)
 
 
-def _block_sums(panel: Panel, plan: BlockPlan) -> np.ndarray:
-    if plan.n != panel.n:
-        raise ValidationError(
-            f"plan covers n={plan.n} but panel has n={panel.n} observations")
-    used = panel.data[:plan.used]
+def _diag(plan: BlockPlan, block_sums: np.ndarray) -> np.ndarray:
+    """Diagonal of Y^T Y / (M w) for block sums Y of shape (..., w, p)."""
+    return np.einsum("...ij,...ij->...j", block_sums, block_sums) / (plan.M * plan.w)
+
+
+def _centre(block_sums: np.ndarray) -> np.ndarray:
+    """Block sums (..., w, p) minus their mean over the w blocks.  Overflow
+    here leaves a non-finite diagonal, which LongRunEstimate reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return block_sums - block_sums.mean(axis=-2, keepdims=True)
+
+
+def _noise_floor(plan: BlockPlan, abs_max: np.ndarray) -> np.ndarray:
+    """Per-column norm of the block sums that rounding alone can produce.
+
+    A worst-case bound for naive summation: a block sum errs by at most
+    M^2 u max|x| and M times the mean of the used observations by
+    M * wM * u max|x| (u = eps/2), over w blocks.  The bound still holds
+    when centring uses the mean of the block sums: that mean errs by at
+    most (M-1)M u max|x| + wM u max|x|, so a centred block sum errs by
+    at most 2(M-1)M u max|x| + wM u max|x| <= M(M + wM) u max|x|.  It
+    scales with the data, so a degeneracy check built on it is
+    scale-invariant.
+    """
+    u = 0.5 * np.finfo(float).eps
+    return u * plan.M * (plan.M + plan.used) * math.sqrt(plan.w) * abs_max
+
+
+def _block_sums(data: np.ndarray, plan: BlockPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Block sums (S, w, p) and column bounds abs_max (S, p) of the used rows
+    of the stacked panels data (S, n, p), from one (S, w, M, p) reduction.
+    Each panel's sums are bit for bit those of the panel alone: the sum
+    runs over M in order, whatever S is."""
+    S, n, p = data.shape
+    if plan.n != n:
+        raise ValidationError(f"plan covers n={plan.n} but panel has n={n} observations")
+    used = data[:, :plan.used]
     with np.errstate(over="ignore"):  # an overflow fails LongRunEstimate's check
-        return used.reshape(plan.w, plan.M, panel.p).sum(axis=1)
+        sums = used.reshape(S, plan.w, plan.M, p).sum(axis=2)
+    return sums, np.max(np.abs(used), axis=1)
 
 
-def _abs_max(panel: Panel, plan: BlockPlan) -> np.ndarray:
-    return np.max(np.abs(panel.data[:plan.used]), axis=0)
+@dataclass(frozen=True)
+class CentredStack:
+    """sigma_tilde of S panels of one shape at one plan, as stacked arrays:
+    centred block sums (S, w, p), diagonals (S, p) and abs_max (S, p).
+
+    Nothing is checked on building it; estimate(s) is sigma_tilde of panel
+    s, bit for bit, and raises what sigma_tilde would.
+    """
+
+    plan: BlockPlan
+    block_sums: np.ndarray
+    diag: np.ndarray
+    abs_max: np.ndarray
+
+    @property
+    def noise_floor(self) -> np.ndarray:
+        return _noise_floor(self.plan, self.abs_max)
+
+    def estimate(self, s: int) -> LongRunEstimate:
+        return LongRunEstimate(plan=self.plan, block_sums=self.block_sums[s],
+                               abs_max=self.abs_max[s], diag=self.diag[s])
+
+
+def centred_stack(data: np.ndarray, plan: BlockPlan) -> CentredStack:
+    """The centred estimates of the stacked panels data (S, n, p) at plan."""
+    sums, abs_max = _block_sums(data, plan)
+    centred = _centre(sums)
+    return CentredStack(plan=plan, block_sums=centred, diag=_diag(plan, centred),
+                        abs_max=abs_max)
 
 
 def sigma_hat(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
@@ -132,18 +182,19 @@ def sigma_hat(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
     PSD by construction (average of outer products); the caller is
     responsible for the zero-mean assumption.
     """
-    return LongRunEstimate(plan=plan, block_sums=_block_sums(panel, plan),
-                           abs_max=_abs_max(panel, plan))
+    sums, abs_max = _block_sums(panel.data[None], plan)
+    return LongRunEstimate(plan=plan, block_sums=sums[0], abs_max=abs_max[0])
 
 
 def sigma_tilde(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
-    """Mean-subtracted batched-mean estimate, valid with unknown mean.
+    """Mean-subtracted batched-mean estimate, valid with unknown mean: the
+    one-panel case of centred_stack.
 
     The block sums are centred at their mean, which is M times the sample
     mean xbar over the first w*M observations, so that
     sigma_hat - sigma_tilde = M * xbar xbar^T up to rounding.
     """
-    return LongRunEstimate.centred(plan, _block_sums(panel, plan), _abs_max(panel, plan))
+    return centred_stack(panel.data[None], plan).estimate(0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ Three families are supported:
                       state where it differs, so it equals the plain
                       step-by-step loop.  Several paths can share the
                       stepped state: simulate_many draws panels a stack at
-                      a time, within the byte budget STACK_BYTES.
+                      a time, within the byte budget STACK_BYTES, which
+                      holds a run of 8 replications at the coverage
+                      benchmark's shape, so that the run's estimates are
+                      built as one stack too (gboot.simultaneous_cis).
 
 Time convention: panel row r holds the observation at time r, r = 0..n-1.
 Couplings replace the innovation at time 0.  A Panel holds its data only.
@@ -560,8 +563,10 @@ def _tar_panels(spec: ProcessSpec, values, S: int):
 # Innovation bytes of one threshold-AR stack: simulate_many steps at most
 # max(1, STACK_BYTES // (8 p (n + burn_in))) paths as one state.  Each
 # thread that draws holds one stack: its innovations while it is stepped,
-# then its panels' rows.
-STACK_BYTES = 1 << 20
+# then its panels' rows.  2 MiB holds a run of 8 replications at p = 20,
+# n = 500 and burn_in = 1024, so that a run's paths step together and its
+# estimates (gboot.simultaneous_cis) are built as one stack.
+STACK_BYTES = 2 << 20
 
 
 def simulate_many(spec: ProcessSpec, n: int, streams):

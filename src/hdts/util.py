@@ -23,7 +23,9 @@ def run_indexed(fn, count: int, threads: int = 1) -> list:
     per index.  Results come back ordered by index, so the output is
     independent of the number of threads as long as fn(i) depends only on i.
     """
-    if threads <= 1 or count <= RUN:
+    if threads < 1:
+        raise ValidationError(f"need threads >= 1, got {threads}")
+    if threads == 1 or count <= RUN:
         return [fn(i) for i in range(count)]
 
     def run(start: int) -> list:

@@ -910,6 +910,30 @@ def test_check_conditions_on_degenerate_or_extreme_profiles_exits_cleanly(
     assert (rc, body["type"]) == (code, {2: "validation", 3: "numerical"}[code])
 
 
+@pytest.mark.parametrize("q", ["400", "1000"])
+def test_check_conditions_past_the_direct_upsilon_overflow_exits_3(tmp_path, capsys, q):
+    # (sum_j c_j^q)^(1/q) overflows here although Upsilon is about 17 or 27:
+    # the profile is now finite, and the condition terms overflow
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 5\n")
+    rc = main(["check-conditions", "--config", str(cfg), "--q", q, "--n", "1000"])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (3, "numerical")
+    assert "condition arithmetic" in body["error"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_1_exit_2(tmp_path, capsys, threads):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 2\n[simulate]\nn = 10\n")
+    rc = main(["--threads", threads, "simulate", "--config", str(cfg),
+               "--out", str(tmp_path / "panel")])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (2, "validation")
+    assert "--threads" in body["error"]
+    assert not list(tmp_path.glob("panel*"))
+
+
 def test_check_conditions_at_a_high_moment_order_exits_0(tmp_path, capsys):
     # the Gaussian max-moment root at p = 5 once overflowed from q = 89 on
     cfg = tmp_path / "cfg.ini"
@@ -920,12 +944,13 @@ def test_check_conditions_at_a_high_moment_order_exits_0(tmp_path, capsys):
     assert json.loads(out)["q"] == 90.0
 
 
-@pytest.mark.parametrize("h, q, code", [("0", "1e308", 3), ("1", "200", 2), ("1", "1e308", 2)])
+@pytest.mark.parametrize("h, q, code", [("0", "1e308", 3), ("1", "200", 3), ("1", "1e308", 2)])
 def test_check_conditions_overflow_in_the_closed_form_profile_exits_cleanly(
         tmp_path, capsys, h, q, code):
     # at h = 0 the Gaussian max-moment quadrature raises OverflowError
-    # (exit 3); at h = 1 the aggregate norms overflow to inf, with no numpy
-    # warning, and the checker rejects them (exit 2)
+    # (exit 3); at h = 1 and q = 1e308 the aggregate norms overflow to inf,
+    # with no numpy warning, and the checker rejects them (exit 2); at q = 200
+    # the profile is finite and the condition arithmetic overflows (exit 3)
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(DEFAULT_CONFIG.replace("h = 0", f"h = {h}").replace("rho = 0.0", "rho = 0.5"))
     rc = main(["check-conditions", "--config", str(cfg), "--n", "4096", "--q", q])

@@ -136,6 +136,17 @@ def test_maxabs_moment_root_is_nondecreasing_in_q(p):
     assert all(np.isfinite(roots)) and roots == sorted(roots)
 
 
+@pytest.mark.parametrize("q", [200.0, 400.0, 1000.0])
+def test_upsilon_past_the_direct_sum_overflow_is_the_closed_form(q):
+    # iid Gaussian, p = 5: every coordinate norm is sqrt(2) (E|N|^q)^(1/q),
+    # and sum_j c_j^q overflows from about q = 260 on
+    root = math.exp(((q / 2.0) * math.log(2.0) + math.lgamma((q + 1.0) / 2.0)
+                     - math.lgamma(0.5)) / q)
+    prof = closed_form_profile(ProcessSpec("iid", p=5), q, 1.5)
+    assert prof.Upsilon == pytest.approx(5.0 ** (1.0 / q) * math.sqrt(2.0) * root,
+                                         rel=1e-12, abs=0)
+
+
 def test_student_t_profile_uses_quadrature_moment():
     spec = ProcessSpec("linear", p=2, alpha=1.0, K=5, h=0,
                        innovation=InnovationLaw.student_t(8.0))

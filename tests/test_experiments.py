@@ -183,6 +183,13 @@ def test_run_indexed_runs_each_run_in_order_on_one_thread():
             assert len({tid for _, tid in run}) == 1
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_indexed_rejects_threads_below_1(threads):
+    from hdts.util import run_indexed
+    with pytest.raises(ValidationError, match="threads >= 1"):
+        run_indexed(lambda i: i, 3, threads)
+
+
 def test_shared_run_inputs_survive_any_call_order_and_thread(monkeypatch):
     # replications handed to 8 threads one index at a time, in an order that
     # breaks every run, with frequent thread switches: each still gets the

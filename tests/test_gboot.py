@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from hdts.errors import AssumptionError, NumericalError, ValidationError
-from hdts.gboot import (_order_statistic, _quantile_se, _unit_factor, bootstrap_quantile,
-                        psd_sqrt, simultaneous_ci)
+from hdts.errors import AssumptionError, HdtsError, NumericalError, ValidationError
+from hdts.gboot import (_order_statistic, _quantile_se, _unit_factors, bootstrap_quantile,
+                        psd_sqrt, simultaneous_ci, simultaneous_cis)
 from hdts.longrun import LongRunEstimate, plan_blocks, sigma_tilde
-from hdts.model import Panel, ProcessSpec, simulate
+from hdts.model import InnovationLaw, Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
 
 RNG = RngContract(50)
@@ -129,7 +129,7 @@ def test_normalization_invariance_under_coordinate_rescaling():
 
 def _chunked_draws(est, B, rng):
     """The draw loop written plainly: a fresh |eta @ F| per 1024-row chunk."""
-    F = _unit_factor(est)
+    F = _unit_factors(est.block_sums[None], est.noise_floor[None])[0]
     draws = []
     for start in range(0, B, 1024):
         gen = rng.derive("gboot-draws", start // 1024).generator()
@@ -291,3 +291,85 @@ def test_ci_does_not_depend_on_memory_layout():
                         RngContract(11))
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+# ---------------------------------------------------------------------------
+# run-batched intervals
+# ---------------------------------------------------------------------------
+
+_LAWS = {"gaussian": InnovationLaw.gaussian(), "t": InnovationLaw.student_t(5.0),
+         "shell-pareto": InnovationLaw.symmetric_pareto(4.0, body="shell")}
+
+
+def _one_by_one(panels, theta, M, B, rngs):
+    """[simultaneous_ci(panel, ...) for each panel], or the first error."""
+    try:
+        return [simultaneous_ci(panel, theta, M, B, rng) for panel, rng in zip(panels, rngs)]
+    except HdtsError as exc:
+        return exc
+
+
+def _assert_same_outcome(panels, theta, M, B, rngs):
+    want = _one_by_one(panels, theta, M, B, rngs)
+    if isinstance(want, HdtsError):
+        with pytest.raises(type(want)) as got:
+            list(simultaneous_cis(panels, theta, M, B, rngs))
+        assert str(got.value) == str(want)
+        return
+    got = list(simultaneous_cis(panels, theta, M, B, rngs))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(b):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), p=st.integers(1, 30), S=st.integers(1, 6),
+       M=st.one_of(st.none(), st.integers(1, 300)), law=st.sampled_from(sorted(_LAWS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=500, p=20, S=8, M=None, law="gaussian", seed=0)     # w = 71 > p
+@example(n=203, p=20, S=3, M=10, law="t", seed=1)              # w = 20 <= p, 3 unused rows
+@example(n=60, p=3, S=4, M=1, law="shell-pareto", seed=2)
+@example(n=100, p=1, S=5, M=3, law="gaussian", seed=3)
+def test_run_batched_intervals_equal_one_panel_intervals(n, p, S, M, law, seed):
+    M = None if M is None else min(M, n)
+    gen = RngContract(seed).derive("batched").generator()
+    panels = [Panel(_LAWS[law].sample(gen, (n, p)) + gen.standard_normal(p))
+              for _ in range(S)]
+    rngs = [RngContract(seed).derive("batched-boot", s) for s in range(S)]
+    _assert_same_outcome(panels, 0.9, M, 1000, rngs)
+
+
+@pytest.mark.parametrize("kinds", [
+    ("ok", "flat", "ok", "flat2"), ("ok", "flat", "huge"), ("ok", "huge", "flat"),
+    ("huge", "ok"), ("flat",)])
+@pytest.mark.parametrize("theta", [0.95, 1.5])
+def test_a_run_with_a_failing_panel_raises_the_first_panel_error(kinds, theta):
+    # columns at rounding level raise AssumptionError naming them; block sums
+    # that overflow raise NumericalError; a bad theta fails at the first
+    # panel with a finite estimate, as the one-panel calls do in order
+    gen = RNG.derive("failing").generator()
+    panels = []
+    for kind in kinds:
+        data = gen.standard_normal((100, 4))
+        if kind == "flat":
+            data[:, 2] = 0.25
+        elif kind == "flat2":
+            data[:, [0, 3]] = -7.0
+        elif kind == "huge":
+            data[:, 1] = 1e308
+        panels.append(Panel(data))
+    rngs = [RNG.derive("failing-boot", s) for s in range(len(kinds))]
+    want = _one_by_one(panels, theta, 5, 1000, rngs)
+    assert isinstance(want, HdtsError)
+    _assert_same_outcome(panels, theta, 5, 1000, rngs)
+
+
+def test_run_batched_intervals_check_their_inputs():
+    panels = [Panel(np.eye(20)[:, :3]), Panel(np.eye(20)[:, :4])]
+    with pytest.raises(ValidationError, match="one shape"):
+        simultaneous_cis(panels, 0.95, None, 1000, [RNG, RNG])
+    with pytest.raises(ValidationError, match="one stream per panel"):
+        simultaneous_cis(panels[:1], 0.95, None, 1000, [RNG, RNG])
+    assert list(simultaneous_cis([], 0.95, None, 1000, [])) == []

@@ -247,7 +247,7 @@ def test_simulate_many_builds_linear_panels_one_by_one(family):
 
 @pytest.mark.parametrize("spec", [
     ProcessSpec("linear", p=20, K=200, h=1, rho=0.5),
-    # coverage-tar's shape: 8 p (n + burn_in) bytes a path, so stacks of 4
+    # coverage-tar's shape: 8 p (n + burn_in) bytes a path, so one stack of 8
     ProcessSpec("threshold-ar", p=20, theta1=0.3, theta2=0.3, burn_in=1024),
 ], ids=["linear", "threshold-ar"])
 @pytest.mark.parametrize("many", [False, True], ids=["simulate", "simulate_many"])
@@ -256,7 +256,7 @@ def test_a_simulated_panel_holds_only_its_data(spec, many):
     from hdts import model
     n, streams = 500, [RNG.derive("held", r) for r in range(8 if many else 1)]
     if many and spec.family == "threshold-ar":
-        assert model.STACK_BYTES // (8 * spec.p * (n + spec.burn_in)) == 4
+        assert model.STACK_BYTES // (8 * spec.p * (n + spec.burn_in)) == 8
     draw = (lambda: list(model.simulate_many(spec, n, streams))) if many else \
         (lambda: [simulate(spec, n, streams[0])])
     draw()   # first-call allocations (BLAS buffers, caches) are not the panels'

@@ -22,11 +22,19 @@ the bytes of `column_sums` over 9 streams for the iid and linear specs.
 
 Every input (configs, the null matrix) is written as plain text here,
 not through hdts, so two versions of the package see the same bytes.
-Run it against each version and diff the output:
+The output starts with `# ` lines naming the numpy, scipy and OpenBLAS
+versions, since the bits of a matrix product depend on them.  Run it
+against each version and diff the output:
 
     PYTHONPATH=src python tools/output_digests.py > new.txt
     PYTHONPATH=../parent/src python tools/output_digests.py > old.txt
     diff old.txt new.txt
+
+`tests/data/output_digests.txt` holds this output, and
+`tests/test_output_digests.py` checks every run of the suite against it.
+A change that moves output bits on purpose regenerates it:
+
+    PYTHONPATH=src python tools/output_digests.py > tests/data/output_digests.txt
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from hdts.cli import main
 from hdts.model import (InnovationLaw, ProcessSpec, column_sums, simulate, simulate_coupled,
@@ -54,10 +65,11 @@ CONFIGS = {
                 "B = 1000\nn = 100\np = 4\nM = 0,2\ntheta = 0.9,0.95\n",
     "ga": "[process]\np = 4\nK = 20\n[experiment]\nkind = ga\nR = 20\nn = 100\n"
           "n_perm = 50\n",
-    # threshold-AR: runs of 8 replications split into stacks of 7 and 1
-    "coverage-tar": "[process]\nfamily = threshold-ar\np = 8\ntheta1 = 0.4\ntheta2 = -0.2\n"
+    # threshold-AR: 8 p (n + burn_in) bytes a path split runs of 8
+    # replications into stacks of 7 and 1 (model.STACK_BYTES = 2 MiB)
+    "coverage-tar": "[process]\nfamily = threshold-ar\np = 16\ntheta1 = 0.4\ntheta2 = -0.2\n"
                     "burn_in = 2000\n[experiment]\nkind = coverage\nR = 200\nB = 1000\n"
-                    "n = 150\np = 8\nM = 0\ntheta = 0.9\n",
+                    "n = 150\np = 16\nM = 0\ntheta = 0.9\n",
     "ga-h2": "[process]\nfamily = linear\np = 4\nK = 20\nh = 2\nrho = 0.5\n[experiment]\n"
              "kind = ga\nR = 20\nn = 100\nn_perm = 50\n",
     "ga-tar": "[process]\nfamily = threshold-ar\np = 4\ntheta1 = 0.5\ntheta2 = -0.3\n"
@@ -73,14 +85,15 @@ CONFIGS = {
 }
 
 # (ProcessSpec keywords, n) of the library cases; 8 p (n + burn_in) bytes
-# a path makes simulate_many's threshold-AR stacks 4, 4, 1 / 4, 4, 1 / 1 x 9
+# a path makes simulate_many's threshold-AR stacks 4, 4, 1 / 4, 4, 1 /
+# 2, 2, 2, 2, 1 (model.STACK_BYTES = 2 MiB)
 LIBRARY = {
     "iid": (dict(family="iid", p=3), 200),
     "linear": (dict(family="linear", p=5, alpha=0.5, K=30, h=2, rho=0.4), 200),
-    "tar": (dict(family="threshold-ar", p=20, theta1=0.3, theta2=0.3), 500),
-    "tar-shell": (dict(family="threshold-ar", p=8, theta1=0.5, theta2=-0.3, burn_in=2000,
+    "tar": (dict(family="threshold-ar", p=40, theta1=0.3, theta2=0.3), 500),
+    "tar-shell": (dict(family="threshold-ar", p=16, theta1=0.5, theta2=-0.3, burn_in=2000,
                        innovation=InnovationLaw.symmetric_pareto(4.0, body="shell")), 1500),
-    "tar-short": (dict(family="threshold-ar", p=40, theta1=0.98, theta2=-0.5, burn_in=0),
+    "tar-short": (dict(family="threshold-ar", p=48, theta1=0.98, theta2=-0.5, burn_in=0),
                   2000),
 }
 
@@ -169,6 +182,17 @@ def library_digests() -> list[str]:
     return lines
 
 
+def versions() -> list[str]:
+    """The header lines: numpy, scipy and OpenBLAS versions."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# scipy {scipy.__version__}",
+            f"# openblas {blas.get('version', 'unknown')}"]
+
+
+def all_digests() -> list[str]:
+    """Every digest line, CLI runs at --threads 1 and 2, then the library."""
+    return digests(1) + digests(2) + library_digests()
+
+
 if __name__ == "__main__":
-    lines = digests(1) + digests(2) + library_digests()
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(versions() + all_digests()) + "\n")
