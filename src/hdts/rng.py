@@ -1,10 +1,11 @@
-"""Counter-based random streams with pure-function derivation.
+"""Random streams with pure-function derivation.
 
 Every stochastic operation receives an RngContract and derives child
 streams from (base_seed, purpose tag, index).  Derivation is a pure
 function of those three values, so replications and couplings can be
 evaluated in any order, on any number of threads, and still reproduce
-bit-identical draws.
+bit-identical draws.  A stream's generator is SFC64, seeded by numpy's
+SeedSequence hash of (base_seed, stream_id).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ def _mix(stream_id: int, tag: str, index: int) -> int:
 class RngContract:
     """Handle for a reproducible random stream.
 
-    Streams with the same base_seed but different stream_id are backed by
-    Philox with distinct keys and are statistically independent.
+    The generator's state is SeedSequence's hash of the pair (base_seed,
+    stream_id), each taken mod 2^64.  That hash spreads any change in
+    either word over the whole SFC64 state, so streams with distinct pairs
+    start at unrelated points and are statistically independent.
     """
 
     base_seed: int
@@ -42,7 +45,6 @@ class RngContract:
         return RngContract(self.base_seed, _mix(self.stream_id, tag, index))
 
     def generator(self) -> np.random.Generator:
-        """Materialize the stream as a numpy Generator (Philox, counter-based)."""
-        key = np.array([self.base_seed & _MASK64, self.stream_id & _MASK64],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """Materialize the stream as a numpy Generator (SFC64)."""
+        seed = np.random.SeedSequence([self.base_seed & _MASK64, self.stream_id & _MASK64])
+        return np.random.Generator(np.random.SFC64(seed))

@@ -192,22 +192,40 @@ def test_cov_test_scalar_reduction_matches_manual_pipeline():
     centered = Panel.from_data((prods - gamma_hat)[:, None])
     est = sigma_tilde(centered, plan_blocks(500, 5))
     bq = bootstrap_quantile(est, 0.9, 2000, RngContract(61))
-    stat = math.sqrt(500) * abs(gamma_hat - 1.0) / est.diag_scale[0]
+    # the statistic is studentized at the null: block sums of x^2 - 1
+    tau0 = math.sqrt(np.mean((prods - 1.0).reshape(100, 5).sum(axis=1) ** 2) / 5)
+    stat = math.sqrt(500) * abs(gamma_hat - 1.0) / tau0
     assert abs(res.statistic - stat) < 1e-10
     assert res.threshold == bq.chi
 
 
 def test_cov_test_level_iid():
+    # pooled over ten base seeds (10^4 replications), so the bound checks
+    # the size itself and not the luck of one seed's draws
     spec = ProcessSpec("iid", p=5)
     rejections = 0
     R = 1000
-    for r in range(R):
-        panel = simulate(spec, 250, RNG.derive("level", r))
-        res = cov_simultaneous_test(panel, 0.95, 1, 1000,
-                                    RNG.derive("level-boot", r),
-                                    null_gamma=np.eye(5))
-        rejections += res.reject
-    assert rejections / R <= 0.05 + 0.02
+    seeds = range(60, 70)
+    for seed in seeds:
+        base = RngContract(seed)
+        for r in range(R):
+            panel = simulate(spec, 250, base.derive("level", r))
+            res = cov_simultaneous_test(panel, 0.95, 1, 1000,
+                                        base.derive("level-boot", r),
+                                        null_gamma=np.eye(5))
+            rejections += res.reject
+    assert rejections / (R * len(seeds)) <= 0.05 + 0.02
+
+
+@pytest.mark.parametrize("M", [1, 7])
+def test_cov_test_null_far_from_the_data_is_rejected(M):
+    # the null-centred scale grows with |gamma_hat - gamma0|, so the
+    # statistic tends to about sqrt(w) and must not overflow to 0 or inf
+    panel = simulate(ProcessSpec("iid", p=3), 400, RNG.derive("far-null"))
+    for scale in (1e150, 1e300, 1e308):
+        res = cov_simultaneous_test(panel, 0.95, M, 1000, RNG, null_gamma=scale * np.eye(3))
+        assert res.reject and np.all(np.isfinite(res.pair_stats))
+        assert res.statistic == pytest.approx(math.sqrt(res.w), rel=0.02)
 
 
 def test_cov_test_size_at_large_n():

@@ -44,3 +44,23 @@ def test_order_of_derivation_does_not_matter():
                          for i in (1, 0)]
     assert np.array_equal(first_then_second[0], second_then_first[1])
     assert np.array_equal(first_then_second[1], second_then_first[0])
+
+
+def test_generator_is_sfc64_seeded_by_seed_sequence():
+    rc = RngContract(7).derive("innovations", 3)
+    direct = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([7, rc.stream_id])))
+    assert isinstance(rc.generator().bit_generator, np.random.SFC64)
+    assert np.array_equal(rc.generator().standard_normal(64), direct.standard_normal(64))
+
+
+def test_seed_and_stream_id_are_taken_mod_2_64():
+    def draws(rc):
+        return rc.generator().integers(0, 2 ** 63, size=16)
+
+    assert np.array_equal(draws(RngContract(-1)), draws(RngContract(2 ** 64 - 1)))
+    assert np.array_equal(draws(RngContract(2 ** 64 + 5)), draws(RngContract(5)))
+    assert np.array_equal(draws(RngContract(3, -2)), draws(RngContract(3, 2 ** 64 - 2)))
+    assert not np.array_equal(draws(RngContract(-1)), draws(RngContract(1)))
+    # derivation masks the parent's stream id the same way
+    assert RngContract(3, -2).derive("x") == RngContract(3, 2 ** 64 - 2).derive("x")
