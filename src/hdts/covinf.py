@@ -10,9 +10,9 @@ panel, and the multiplier bootstrap runs on it unchanged.  What is
 specific to pairs stays here: the layout, the block sums as upper
 triangles of per-block Gram matrices (the n x p(p+1)/2 product panel is
 never built; `build_cov_panel` is kept as the reference), the bound
-|X_ij X_ik| <= max|X_j| max|X_k| on the product columns, and the test
-statistic.  Coupled Monte Carlo norms of the products come from
-depmeasure's coupled sampler.
+|X_ij X_ik| <= max|X_j| max|X_k| on the product columns, the naming of a
+degenerate column as its pair (j, k), and the test statistic.  Coupled
+Monte Carlo norms of the products come from depmeasure's coupled sampler.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from .depmeasure import (AuxNorms, DependenceProfile, _coupled_absdiff, _tail_sums,
                          adjusted_norm, adjusted_norms)
-from .errors import ValidationError
-from .gboot import bootstrap_quantile, check_symmetric
+from .errors import AssumptionError, ValidationError
+from .gboot import _degenerate_error, bootstrap_quantile, check_symmetric
 from .longrun import BlockPlan, LongRunEstimate, plan_blocks
 from .model import Panel, ProcessSpec
 from .rng import RngContract
@@ -236,7 +236,12 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
     with np.errstate(over="ignore"):
         pair_max = abs_max[js] * abs_max[ks]
     est = LongRunEstimate.centred(plan, Y, pair_max)
-    bq = bootstrap_quantile(est, theta, B, rng)
+    try:
+        bq = bootstrap_quantile(est, theta, B, rng)
+    except AssumptionError as exc:
+        # name the degenerate columns as pairs (j, k), 1-based, as the CSV does
+        pairs = [(int(js[a]) + 1, int(ks[a]) + 1) for a in exc.columns[:10]]
+        raise _degenerate_error(f"pair(s) {pairs}") from None
     # Studentize with the null-centred (score-type) tau_0^2 =
     # sum_b (gram_b - M gamma_0)^2 / (M w) = diag + M (mean_b gram_b / M - gamma_0)^2,
     # the second form scaled by c = max(tau_hat, |delta|) so that a null far

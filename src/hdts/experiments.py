@@ -8,8 +8,9 @@ thread runs of consecutive replications, and a kind may ask once per run
 for inputs those replications share.  `coverage`, and `ga` on threshold-AR,
 do so: a run's panels come from one model.simulate_many call, which steps
 threshold-AR paths in stacks within model.STACK_BYTES, and `coverage`
-hands them to one gboot.simultaneous_cis call, which builds the run's
-estimates and bootstrap factors as one stack and draws each replication's
+hands them to one gboot.simultaneous_cis call, which builds one long-run
+estimate for the whole run (a longrun.LongRunEstimate with a run axis) and
+the run's bootstrap factors as one stack, and draws each replication's
 multipliers when its report is taken.  Cell streams are
 derived with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`;
 replication r of the single-cell kinds derives `ga-panel` or `mdep-panel`.

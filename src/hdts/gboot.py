@@ -19,13 +19,16 @@ written into it and its |.| and row maxima are taken in place, straight
 into the draw vector.  The product is never tiled: row or column tiles of
 a gemm may round differently from the whole product.
 
-Intervals are built for a run of same-shape panels at once
-(simultaneous_cis): their estimates come from one stacked block-sum
-reduction (longrun.centred_stack) and their factors from stacked arrays,
-one stacked QR among them; each panel then draws its own multipliers.  A
-stacked reduction, einsum or QR gives each panel the bits it gets alone,
-so simultaneous_ci, the one-panel case, and bootstrap_quantile, the
-one-estimate case, keep their bits.
+bootstrap_quantile and simultaneous_cis share one checked-factor step
+(_checked_factors), which takes a LongRunEstimate of one panel or of a run
+and checks each panel in one order (a finite estimate, then theta and B,
+then no degenerate coordinate) before it factors them.  Intervals are
+built for a run of same-shape panels at once (simultaneous_cis): their
+estimate is one run estimate from one stacked block-sum reduction, and
+their factors come from stacked arrays, one stacked QR among them; each
+panel then draws its own multipliers.  A stacked reduction, einsum or QR
+gives each panel the bits it gets alone, so simultaneous_ci, the
+one-panel case, keeps its bits.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, NumericalError, ValidationError
-from .longrun import LongRunEstimate, centred_stack, plan_blocks
+from .longrun import LongRunEstimate, _block_sums, plan_blocks
 from .model import Panel
 from .rng import RngContract
 
@@ -100,31 +103,46 @@ def _check_level(theta: float, B: int) -> None:
         raise ValidationError(f"need B >= 1000 bootstrap draws, got {B}")
 
 
-def _unit_factors(Y: np.ndarray, noise_floor: np.ndarray) -> np.ndarray:
-    """Factors F_s with F_s^T F_s the correlation matrix of the block sums
-    Y[s], for a stack Y (S, w, p) of finite block sums and their noise
-    floors (S, p); one stacked QR when w > p.
+def _degenerate_error(names: str) -> AssumptionError:
+    return AssumptionError(
+        "degenerate coordinate in the long-run estimate: the requirement "
+        f"min_j sigma_jj >= c fails for {names}, whose block sums are at rounding level")
 
-    Fails at the first panel with a degenerate coordinate: a column of the
-    block sums whose norm is within the rounding noise floor of its data.
-    The factor of each panel is bit for bit its factor alone.
+
+def _checked_factors(est: LongRunEstimate, theta: float, B: int) -> np.ndarray:
+    """Factors F with F^T F the correlation matrix of the block sums, (w', p)
+    for one panel's estimate or (S, w', p) for a run's; one stacked QR when
+    w > p.  The factor of each panel is bit for bit its factor alone.
+
+    Each panel is checked first, in order: a finite estimate, then theta
+    and B, then no degenerate coordinate (a column of the block sums whose
+    norm is within the rounding noise floor of its data; the error's
+    `columns` holds their 0-based indices).  In a run the first failing
+    panel raises the error it raises alone.
     """
+    *lead, w, p = est.block_sums.shape
+    finite = np.all(np.isfinite(est.diag), axis=-1).reshape(-1)
+    k = finite.size if finite.all() else int(np.argmin(finite))
+    if k == 0:
+        est.check_finite()
+    _check_level(theta, B)
+    Y = est.block_sums.reshape(-1, w, p)[:k]
     norms = np.linalg.norm(Y, axis=1)
-    flat = norms <= noise_floor
+    flat = norms <= est.noise_floor.reshape(-1, p)[:k]
     if flat.any():
         cols = np.flatnonzero(flat[np.argmax(flat.any(axis=1))])
-        raise AssumptionError(
-            "degenerate coordinate in the long-run estimate: the requirement "
-            f"min_j sigma_jj >= c fails for column(s) {(cols + 1).tolist()[:10]}, "
-            "whose block sums are at rounding level")
-    if Y.shape[1] > Y.shape[2]:
+        exc = _degenerate_error(f"column(s) {(cols + 1).tolist()[:10]}")
+        exc.columns = cols
+        raise exc
+    est.check_finite()                 # panel k, when k < S
+    if w > p:
         # R with a nonnegative diagonal is the Cholesky factor of Y^T Y, so
         # the draws do not depend on the Householder sign convention, and for
         # weakly correlated data R is close to the symmetric root
         Y = np.linalg.qr(Y, mode="r")
         Y *= np.where(np.diagonal(Y, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, :, None]
         norms = np.linalg.norm(Y, axis=1)
-    return Y / norms[:, None, :]
+    return (Y / norms[:, None, :]).reshape(*lead, -1, p)
 
 
 def _quantile(F: np.ndarray, theta: float, B: int, rng: RngContract) -> BootstrapQuantile:
@@ -154,9 +172,7 @@ def bootstrap_quantile(est: LongRunEstimate, theta: float, B: int,
     Fails when any coordinate is (numerically) degenerate, i.e. the
     minimum long-run variance requirement min_j sigma_jj >= c is violated.
     """
-    _check_level(theta, B)
-    F = _unit_factors(est.block_sums[None], est.noise_floor[None])[0]
-    return _quantile(F, theta, B, rng)
+    return _quantile(_checked_factors(est, theta, B), theta, B, rng)
 
 
 @dataclass
@@ -192,11 +208,11 @@ def simultaneous_cis(panels, theta: float, M: int | None, B: int, rngs):
     """simultaneous_ci(panels[s], theta, M, B, rngs[s]) for every s, as an
     iterator of reports, each bit for bit the one-panel call's.
 
-    The panels share one shape.  Their estimates and unit factors are built
-    up front as stacks (longrun.centred_stack, _unit_factors); panel s's
-    multipliers are drawn when its report is taken.  A failing panel raises
-    up front the error simultaneous_ci raises for it, and the first one in
-    panel order wins.
+    The panels share one shape.  Their estimate is one run estimate and
+    their unit factors are built up front as a stack (_checked_factors);
+    panel s's multipliers are drawn when its report is taken.  A failing
+    panel raises up front the error simultaneous_ci raises for it, and the
+    first one in panel order wins.
     """
     panels, rngs = list(panels), list(rngs)
     if len(rngs) != len(panels):
@@ -211,19 +227,10 @@ def simultaneous_cis(panels, theta: float, M: int | None, B: int, rngs):
         np.stack([panel.data for panel in panels])
     n = data.shape[1]
     plan = plan_blocks(n, M)
-    est = centred_stack(data, plan)
-    # the checks of panel s in simultaneous_ci's order: a finite estimate,
-    # then theta and B, then no degenerate coordinate
-    finite = np.all(np.isfinite(est.diag), axis=1)
-    k = len(panels) if finite.all() else int(np.argmin(finite))
-    if k == 0:
-        est.estimate(0)                # raises sigma_tilde's NumericalError
-    _check_level(theta, B)
-    F = _unit_factors(est.block_sums[:k], est.noise_floor[:k])
-    if k < len(panels):
-        est.estimate(k)
+    est = LongRunEstimate.centred(plan, *_block_sums(data, plan))
+    F = _checked_factors(est, theta, B)
     mu_hat = data.mean(axis=1)
-    scale = np.sqrt(est.diag)
+    scale = est.diag_scale
 
     def reports():
         for s, rng in enumerate(rngs):

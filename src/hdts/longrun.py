@@ -3,9 +3,11 @@ associated theoretical targets and convergence rates.
 
 The sample is cut into w = floor(n/M) non-overlapping blocks of length M
 (trailing observations are dropped and reported); the estimator averages
-outer products of block sums.  The centred estimator is built for a stack
-of same-shape panels at once (centred_stack); sigma_tilde is its
-one-panel case.
+outer products of block sums.  One type, LongRunEstimate, holds the block
+sums of one panel or of a run of same-shape panels (indexed per panel);
+the centred estimate of either comes from LongRunEstimate.centred, which
+sigma_tilde, the run path of gboot.simultaneous_cis and covinf's product
+process share.
 """
 
 from __future__ import annotations
@@ -55,24 +57,23 @@ def default_block_length(n: int) -> int:
 
 class LongRunEstimate:
     """Symmetric PSD estimate of the long-run covariance matrix, kept as the
-    (w, p) block sums Y it is built from.
+    block sums Y it is built from: (w, p) for one panel, or (S, w, p) for a
+    run of S same-shape panels at one plan, whose est[s] is panel s's
+    estimate, bit for bit the one built from that panel alone.
 
-    abs_max bounds each column of the data summed, and sigma = Y^T Y / (M w)
-    is formed only when read.  The diagonal is computed when the estimate
-    is built, unless the caller passes it from a stack (see CentredStack),
-    and a non-finite one raises NumericalError; since each
-    |sigma_jk| <= sqrt(sigma_jj sigma_kk), that bounds every entry of sigma
-    and every column norm of Y.
+    abs_max, (p,) or (S, p), bounds each column of the data summed.  The
+    diagonal is computed on building, and sigma = Y^T Y / (M w) is formed
+    only when read.  Nothing is checked on building: reading sigma, like
+    the bootstrap's factor step, first checks that the diagonal is finite
+    (check_finite); since each |sigma_jk| <= sqrt(sigma_jj sigma_kk), that
+    bounds every entry of sigma and every column norm of Y.
     """
 
-    def __init__(self, *, plan: BlockPlan, block_sums: np.ndarray, abs_max: np.ndarray,
-                 diag: np.ndarray | None = None):
+    def __init__(self, *, plan: BlockPlan, block_sums: np.ndarray, abs_max: np.ndarray):
         self.plan = plan
         self.block_sums = block_sums
         self.abs_max = abs_max
-        self.diag = _diag(plan, block_sums) if diag is None else diag
-        if not np.all(np.isfinite(self.diag)):
-            raise NumericalError("the long-run estimate is not finite")
+        self.diag = np.einsum("...ij,...ij->...j", block_sums, block_sums) / (plan.M * plan.w)
         self._sigma = None
 
     @classmethod
@@ -80,21 +81,43 @@ class LongRunEstimate:
                 abs_max: np.ndarray) -> "LongRunEstimate":
         """Estimate from block sums centred at their mean over the w blocks,
         which for the block sums of data is M times the mean of the used
-        observations."""
-        return cls(plan=plan, block_sums=_centre(block_sums), abs_max=abs_max)
+        observations.  Overflow here leaves a non-finite diagonal."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = block_sums - block_sums.mean(axis=-2, keepdims=True)
+        return cls(plan=plan, block_sums=centred, abs_max=abs_max)
+
+    def __getitem__(self, s: int) -> "LongRunEstimate":
+        return LongRunEstimate(plan=self.plan, block_sums=self.block_sums[s],
+                               abs_max=self.abs_max[s])
+
+    def check_finite(self) -> None:
+        """Raise NumericalError unless the diagonal of every panel is finite."""
+        if not np.all(np.isfinite(self.diag)):
+            raise NumericalError("the long-run estimate is not finite")
 
     @property
     def noise_floor(self) -> np.ndarray:
-        """Per-column norm of the block sums that rounding alone can produce
-        (see _noise_floor)."""
-        return _noise_floor(self.plan, self.abs_max)
+        """Per-column norm of the block sums that rounding alone can produce.
+
+        A worst-case bound for naive summation: a block sum errs by at most
+        M^2 u max|x| and M times the mean of the used observations by
+        M * wM * u max|x| (u = eps/2), over w blocks.  The bound still
+        holds when centring uses the mean of the block sums: that mean errs
+        by at most (M-1)M u max|x| + wM u max|x|, so a centred block sum
+        errs by at most 2(M-1)M u max|x| + wM u max|x| <= M(M + wM) u max|x|.
+        It scales with the data, so a degeneracy check built on it is
+        scale-invariant.
+        """
+        plan, u = self.plan, 0.5 * np.finfo(float).eps
+        return u * plan.M * (plan.M + plan.used) * math.sqrt(plan.w) * self.abs_max
 
     @property
     def sigma(self) -> np.ndarray:
         if self._sigma is None:
+            self.check_finite()
             Y = self.block_sums
-            S = Y.T @ Y / (self.plan.M * self.plan.w)
-            self._sigma = 0.5 * (S + S.T)
+            S = np.swapaxes(Y, -1, -2) @ Y / (self.plan.M * self.plan.w)
+            self._sigma = 0.5 * (S + np.swapaxes(S, -1, -2))
         return self._sigma
 
     @property
@@ -103,77 +126,18 @@ class LongRunEstimate:
         return np.sqrt(self.diag)
 
 
-def _diag(plan: BlockPlan, block_sums: np.ndarray) -> np.ndarray:
-    """Diagonal of Y^T Y / (M w) for block sums Y of shape (..., w, p)."""
-    return np.einsum("...ij,...ij->...j", block_sums, block_sums) / (plan.M * plan.w)
-
-
-def _centre(block_sums: np.ndarray) -> np.ndarray:
-    """Block sums (..., w, p) minus their mean over the w blocks.  Overflow
-    here leaves a non-finite diagonal, which LongRunEstimate reports."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return block_sums - block_sums.mean(axis=-2, keepdims=True)
-
-
-def _noise_floor(plan: BlockPlan, abs_max: np.ndarray) -> np.ndarray:
-    """Per-column norm of the block sums that rounding alone can produce.
-
-    A worst-case bound for naive summation: a block sum errs by at most
-    M^2 u max|x| and M times the mean of the used observations by
-    M * wM * u max|x| (u = eps/2), over w blocks.  The bound still holds
-    when centring uses the mean of the block sums: that mean errs by at
-    most (M-1)M u max|x| + wM u max|x|, so a centred block sum errs by
-    at most 2(M-1)M u max|x| + wM u max|x| <= M(M + wM) u max|x|.  It
-    scales with the data, so a degeneracy check built on it is
-    scale-invariant.
-    """
-    u = 0.5 * np.finfo(float).eps
-    return u * plan.M * (plan.M + plan.used) * math.sqrt(plan.w) * abs_max
-
-
 def _block_sums(data: np.ndarray, plan: BlockPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Block sums (S, w, p) and column bounds abs_max (S, p) of the used rows
-    of the stacked panels data (S, n, p), from one (S, w, M, p) reduction.
-    Each panel's sums are bit for bit those of the panel alone: the sum
-    runs over M in order, whatever S is."""
-    S, n, p = data.shape
+    """Block sums (..., w, p) and column bounds abs_max (..., p) of the used
+    rows of a panel's data (n, p) or a run's (S, n, p), from one
+    (..., w, M, p) reduction.  Each panel's sums are bit for bit those of
+    the panel alone: the sum runs over M in order, whatever S is."""
+    *lead, n, p = data.shape
     if plan.n != n:
         raise ValidationError(f"plan covers n={plan.n} but panel has n={n} observations")
-    used = data[:, :plan.used]
-    with np.errstate(over="ignore"):  # an overflow fails LongRunEstimate's check
-        sums = used.reshape(S, plan.w, plan.M, p).sum(axis=2)
-    return sums, np.max(np.abs(used), axis=1)
-
-
-@dataclass(frozen=True)
-class CentredStack:
-    """sigma_tilde of S panels of one shape at one plan, as stacked arrays:
-    centred block sums (S, w, p), diagonals (S, p) and abs_max (S, p).
-
-    Nothing is checked on building it; estimate(s) is sigma_tilde of panel
-    s, bit for bit, and raises what sigma_tilde would.
-    """
-
-    plan: BlockPlan
-    block_sums: np.ndarray
-    diag: np.ndarray
-    abs_max: np.ndarray
-
-    @property
-    def noise_floor(self) -> np.ndarray:
-        return _noise_floor(self.plan, self.abs_max)
-
-    def estimate(self, s: int) -> LongRunEstimate:
-        return LongRunEstimate(plan=self.plan, block_sums=self.block_sums[s],
-                               abs_max=self.abs_max[s], diag=self.diag[s])
-
-
-def centred_stack(data: np.ndarray, plan: BlockPlan) -> CentredStack:
-    """The centred estimates of the stacked panels data (S, n, p) at plan."""
-    sums, abs_max = _block_sums(data, plan)
-    centred = _centre(sums)
-    return CentredStack(plan=plan, block_sums=centred, diag=_diag(plan, centred),
-                        abs_max=abs_max)
+    used = data[..., :plan.used, :]
+    with np.errstate(over="ignore"):  # an overflow leaves a non-finite estimate
+        sums = used.reshape(*lead, plan.w, plan.M, p).sum(axis=-2)
+    return sums, np.max(np.abs(used), axis=-2)
 
 
 def sigma_hat(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
@@ -182,19 +146,18 @@ def sigma_hat(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
     PSD by construction (average of outer products); the caller is
     responsible for the zero-mean assumption.
     """
-    sums, abs_max = _block_sums(panel.data[None], plan)
-    return LongRunEstimate(plan=plan, block_sums=sums[0], abs_max=abs_max[0])
+    sums, abs_max = _block_sums(panel.data, plan)
+    return LongRunEstimate(plan=plan, block_sums=sums, abs_max=abs_max)
 
 
 def sigma_tilde(panel: Panel, plan: BlockPlan) -> LongRunEstimate:
-    """Mean-subtracted batched-mean estimate, valid with unknown mean: the
-    one-panel case of centred_stack.
+    """Mean-subtracted batched-mean estimate, valid with unknown mean.
 
     The block sums are centred at their mean, which is M times the sample
     mean xbar over the first w*M observations, so that
     sigma_hat - sigma_tilde = M * xbar xbar^T up to rounding.
     """
-    return centred_stack(panel.data[None], plan).estimate(0)
+    return LongRunEstimate.centred(plan, *_block_sums(panel.data, plan))
 
 
 # ---------------------------------------------------------------------------

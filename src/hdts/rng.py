@@ -32,9 +32,13 @@ class RngContract:
     """Handle for a reproducible random stream.
 
     The generator's state is SeedSequence's hash of the pair (base_seed,
-    stream_id), each taken mod 2^64.  That hash spreads any change in
-    either word over the whole SFC64 state, so streams with distinct pairs
-    start at unrelated points and are statistically independent.
+    stream_id), each taken mod 2^64.  That hash spreads any change in its
+    input over the whole SFC64 state.  Its input is not the pair itself but
+    the 32-bit words of both integers, concatenated, each integer in as few
+    words as it needs, so two distinct pairs can draw the same stream:
+    RngContract(5, 7 + 3 * 2**32) and RngContract(5 + 7 * 2**32, 3) do.
+    Streams under one base seed never collide, nor do streams under base
+    seeds below 2^32; a collision needs a base seed of 2^32 or more.
     """
 
     base_seed: int

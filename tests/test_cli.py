@@ -446,10 +446,29 @@ def test_non_finite_estimate_exit_code(tmp_path, capsys, first):
     body = json.loads(capsys.readouterr().err)
     assert (rc, body["type"]) == (3, "numerical")
     assert not list(tmp_path.glob("est.sigma.*"))
+    # a panel is checked in one order: a finite estimate, then theta and B
     for command in ("ci", "covtest"):
-        rc = main([command, "--panel", str(panel), "--M", "2",
-                   "--out", str(tmp_path / command)])
-        assert (rc, json.loads(capsys.readouterr().err)["type"]) == (3, "numerical")
+        for bad in ([], ["--theta", "1.5"], ["--B", "10"]):
+            rc = main([command, "--panel", str(panel), "--M", "2", *bad,
+                       "--out", str(tmp_path / command)])
+            body = json.loads(capsys.readouterr().err)
+            assert (rc, body["type"]) == (3, "numerical"), (command, bad)
+
+
+def test_degenerate_columns_are_named_as_pairs_by_covtest_and_columns_by_ci(
+        tmp_path, capsys):
+    data = RngContract(3).derive("flat").generator().standard_normal((200, 3))
+    data[:, 1] = 2.5                   # column 2, so pair (2, 2), is constant
+    panel = tmp_path / "panel.csv"
+    io.write_panel_csv(panel, data)
+    prefix = "degenerate coordinate in the long-run estimate: the requirement " \
+        "min_j sigma_jj >= c fails for "
+    suffix = ", whose block sums are at rounding level"
+    for command, names in (("covtest", "pair(s) [(2, 2)]"), ("ci", "column(s) [2]")):
+        rc = main([command, "--panel", str(panel), "--out", str(tmp_path / command)])
+        body = json.loads(capsys.readouterr().err)
+        assert (rc, body["type"]) == (2, "validation")
+        assert body["error"] == prefix + names + suffix
 
 
 @pytest.mark.parametrize("first", [[1e308] * 8, [1e308, 1e308, -1e308, -1e308] * 2],

@@ -9,8 +9,8 @@ from hdts.covinf import (build_cov_panel, cov_dep_norm_bound,
                          cov_simultaneous_test, mc_cov_norms, n_pairs,
                          pair_indices, product_block_sums)
 from hdts.depmeasure import closed_form_profile
-from hdts.errors import ValidationError
-from hdts.gboot import bootstrap_quantile
+from hdts.errors import AssumptionError, ValidationError
+from hdts.gboot import bootstrap_quantile, simultaneous_ci
 from hdts.longrun import _block_sums, plan_blocks, sigma_tilde
 from hdts.model import InnovationLaw, Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
@@ -332,6 +332,22 @@ def test_cov_test_permutation_equivariance(p_perm, n_M, seed):
     if res.w <= n_pairs(p):
         # F_n is the unit-norm block sums, whose columns permute with the pairs
         assert res_p.threshold == pytest.approx(res.threshold, rel=1e-10)
+
+
+@pytest.mark.parametrize("flat, pairs", [
+    ([1], [(2, 2)]),                   # the flat index of pair (2, 2) is 4
+    ([0, 2], [(1, 1), (1, 3), (3, 3)]),
+])
+def test_cov_test_names_degenerate_pairs_and_ci_names_columns(flat, pairs):
+    data = RNG.derive("flat-pairs").generator().standard_normal((200, 3))
+    data[:, flat] = 2.5
+    panel = Panel.from_data(data)
+    with pytest.raises(AssumptionError) as cov:
+        cov_simultaneous_test(panel, 0.95, None, 1000, RNG)
+    assert f"fails for pair(s) {pairs}, " in str(cov.value)
+    with pytest.raises(AssumptionError) as ci:
+        simultaneous_ci(panel, 0.95, None, 1000, RNG)
+    assert f"fails for column(s) {[j + 1 for j in flat]}, " in str(ci.value)
 
 
 def test_cov_test_dimension_guard():

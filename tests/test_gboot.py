@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from hdts.errors import AssumptionError, HdtsError, NumericalError, ValidationError
-from hdts.gboot import (_order_statistic, _quantile_se, _unit_factors, bootstrap_quantile,
+from hdts.gboot import (_checked_factors, _order_statistic, _quantile_se, bootstrap_quantile,
                         psd_sqrt, simultaneous_ci, simultaneous_cis)
 from hdts.longrun import LongRunEstimate, plan_blocks, sigma_tilde
 from hdts.model import InnovationLaw, Panel, ProcessSpec, simulate
@@ -129,7 +129,7 @@ def test_normalization_invariance_under_coordinate_rescaling():
 
 def _chunked_draws(est, B, rng):
     """The draw loop written plainly: a fresh |eta @ F| per 1024-row chunk."""
-    F = _unit_factors(est.block_sums[None], est.noise_floor[None])[0]
+    F = _checked_factors(est, 0.95, B)
     draws = []
     for start in range(0, B, 1024):
         gen = rng.derive("gboot-draws", start // 1024).generator()

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hdts.errors import BoundaryError, ValidationError
+from hdts.errors import BoundaryError, NumericalError, ValidationError
 from hdts.depmeasure import closed_form_profile
-from hdts.longrun import (autocovariance, default_block_length, f_alpha_factor,
-                          plan_blocks, sigma_M_target, sigma_hat, sigma_tilde,
-                          theoretical_rate, true_sigma, v_of_M)
+from hdts.longrun import (LongRunEstimate, _block_sums, autocovariance, default_block_length,
+                          f_alpha_factor, plan_blocks, sigma_M_target, sigma_hat,
+                          sigma_tilde, theoretical_rate, true_sigma, v_of_M)
 from hdts.model import Panel, ProcessSpec, simulate
 from hdts.rng import RngContract
 
@@ -98,6 +100,43 @@ def test_plan_mismatch_errors():
     panel = simulate(ProcessSpec("iid", p=2), 30, RNG.derive("mismatch"))
     with pytest.raises(ValidationError, match="plan covers"):
         sigma_hat(panel, plan_blocks(20, 5))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_M=st.integers(2, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       p=st.integers(1, 7), S=st.integers(1, 5), huge=st.one_of(st.none(), st.integers(0, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_M=(40, 40), p=3, S=4, huge=None, seed=0)     # w = 1
+@example(n_M=(43, 5), p=2, S=3, huge=None, seed=1)      # 3 unused rows
+@example(n_M=(7, 7), p=1, S=2, huge=1, seed=2)          # w = 1, overflowing block sums
+@example(n_M=(9, 1), p=4, S=3, huge=0, seed=3)          # M = 1, overflowing centring
+def test_run_estimate_at_s_is_the_panel_estimate_bit_for_bit(n_M, p, S, huge, seed):
+    n, plan = n_M[0], plan_blocks(*n_M)
+    gen = RngContract(seed).derive("run-estimate").generator()
+    data = gen.standard_normal((S, n, p)) * gen.uniform(0.1, 10.0, p) + gen.standard_normal(p)
+    bad = huge is not None and huge < S
+    if bad:
+        # values in [1e308, 1.7e308]: any two of them sum past the float range
+        data[huge, :, p - 1] = 1e308 * (1.0 + 0.7 * gen.uniform(size=n))
+    sums, abs_max = _block_sums(data, plan)
+    runs = (LongRunEstimate(plan=plan, block_sums=sums, abs_max=abs_max),  # does not raise
+            LongRunEstimate.centred(plan, sums, abs_max))
+    for s in range(S):
+        panel = Panel(data[s])
+        for run, alone in zip(runs, (sigma_hat(panel, plan), sigma_tilde(panel, plan))):
+            got = run[s]
+            for field in ("block_sums", "diag", "abs_max", "noise_floor"):
+                assert _same_bits(getattr(got, field), getattr(alone, field)), field
+            if bad and s == huge:
+                for est in (got, alone, run):
+                    with pytest.raises(NumericalError, match="not finite"):
+                        est.sigma
+            else:
+                assert _same_bits(got.sigma, alone.sigma)
 
 
 # ---------------------------------------------------------------------------
