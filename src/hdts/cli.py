@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import io
 from .depmeasure import DependenceProfile, closed_form_profile, ga_condition_check
-from .errors import HdtsError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .covinf import cov_simultaneous_test, pair_indices
 from .experiments import (ExperimentConfig, TOOL_VERSION, counterexample_demo,
                           coverage_experiment, ecdf_dump_rows, ga_distance,
@@ -356,13 +356,13 @@ def cmd_check_conditions(args) -> int:
     if args.sub_exponential and args.nu is None:
         raise ValidationError("--sub-exponential requires --nu")
     nu = args.nu if args.sub_exponential else None
-    if args.profile:
+    if (args.profile is None) == (args.config is None):
+        raise ValidationError("check-conditions needs exactly one of --profile and --config")
+    if args.profile is not None:
         profile = DependenceProfile.from_json_dict(io.read_json(args.profile))
-    elif args.config:
+    else:
         spec = build_spec(_load_config(args.config))
         profile = closed_form_profile(spec, args.q, args.alpha, nu=nu)
-    else:
-        raise ValidationError("check-conditions needs --profile or --config")
     report = ga_condition_check(profile, args.n, p=args.p, nu=nu).to_json_dict()
     if args.out:
         out = Path(args.out)
@@ -465,9 +465,6 @@ def main(argv=None) -> int:
     except (ValidationError, OSError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": "validation"}) + "\n")
         return 2
-    except HdtsError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "type": "error"}) + "\n")
-        return 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ explicit quantities appearing in the Gaussian-approximation conditions.
 Conventions: all logarithms are natural; delta[i, j] is the L^q distance
 between X_{ij} and its copy with the time-0 innovation replaced, so lag i
 runs over 0, 1, 2, ...; Delta[m, j] = sum_{i >= m} delta[i, j].
+Monte Carlo profiles draw their R coupled pairs in one simulate_coupled
+call, so threshold-AR pairs step as stacks of many paths.
 """
 
 from __future__ import annotations
@@ -369,19 +371,15 @@ def _coupled_absdiff(spec: ProcessSpec, q: float, R: int, rng: RngContract,
     """|f(X) - f(X')| over R coupled paths of lags + 1 steps, shape (R, lags+1, k),
     and the multinomial resample weights (_SE_RESAMPLES, R) of the replications.
 
-    Path r is simulate_coupled on rng.derive(tag, r), and the weights come
-    from rng.derive(tag + "-boot"); R and the moment order q are checked
-    before any path is simulated.
+    Pair r is the simulate_coupled pair of stream rng.derive(tag, r), all R
+    drawn in one call, and the weights come from rng.derive(tag + "-boot");
+    R and the moment order q are checked before any path is simulated.
     """
     if R < 100:
         raise ValidationError(f"need R >= 100 replications, got {R}")
     _check_mc_order(spec, q)
-
-    def absdiff(r: int) -> np.ndarray:
-        x, xc = simulate_coupled(spec, lags + 1, rng.derive(tag, r))
-        return np.abs(f(x.data) - f(xc.data))
-
-    diffs = np.stack([absdiff(r) for r in range(R)])
+    pairs = simulate_coupled(spec, lags + 1, [rng.derive(tag, r) for r in range(R)])
+    diffs = np.stack([np.abs(f(x.data) - f(xc.data)) for x, xc in pairs])
     bgen = rng.derive(tag + "-boot").generator()
     weights = bgen.multinomial(R, np.full(R, 1.0 / R), size=_SE_RESAMPLES) / R
     return diffs, weights

@@ -1,12 +1,13 @@
 """Exception hierarchy shared across the package.
 
+Every error the package raises is a ValidationError or a NumericalError.
 The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a genuine bug and propagates.
 """
 
 
 class HdtsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Common base of ValidationError and NumericalError; never raised itself."""
 
 
 class ValidationError(HdtsError, ValueError):

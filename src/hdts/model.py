@@ -21,14 +21,14 @@ Three families are supported:
                       predecessor's end state and re-run from the exact
                       state where it differs, so it equals the plain
                       step-by-step loop.  Several paths can share the
-                      stepped state: simulate_many draws panels a stack at
-                      a time, within the byte budget STACK_BYTES, which
-                      holds a run of 8 replications at the coverage
-                      benchmark's shape, so that the run's estimates are
-                      built as one stack too (gboot.simultaneous_cis).
+                      stepped state, a stack at a time within the byte
+                      budget STACK_BYTES.
 
-Time convention: panel row r holds the observation at time r, r = 0..n-1.
-Couplings replace the innovation at time 0.  A Panel holds its data only.
+One private function, _panels, turns innovations into panels for every
+family: simulate_many feeds it drawn innovations, simulate_coupled each
+stream's innovations and then its coupled copy's.  Time convention: panel
+row r holds the observation at time r, r = 0..n-1.  Couplings replace the
+innovation at time 0.  A Panel holds its data only.
 """
 
 from __future__ import annotations
@@ -549,18 +549,7 @@ def _panel_weights(spec: ProcessSpec) -> np.ndarray:
     return _read_only(spec.lag_weights()[::-1].copy())
 
 
-def _linear_panel(spec: ProcessSpec, eps: np.ndarray) -> Panel:
-    return Panel(_lag_sums(spec, eps, _panel_weights(spec), 1))
-
-
-def _tar_panels(spec: ProcessSpec, values, S: int):
-    """Panels of the S threshold-AR paths over values; each copies its rows."""
-    paths = _tar_paths(values, S, spec.theta1, spec.theta2, spec.burn_in)
-    for r in range(S):
-        yield Panel(paths[:, r].copy())
-
-
-# Innovation bytes of one threshold-AR stack: simulate_many steps at most
+# Innovation bytes of one threshold-AR stack: _panels steps at most
 # max(1, STACK_BYTES // (8 p (n + burn_in))) paths as one state.  Each
 # thread that draws holds one stack: its innovations while it is stepped,
 # then its panels' rows.  2 MiB holds a run of 8 replications at p = 20,
@@ -569,25 +558,33 @@ def _tar_panels(spec: ProcessSpec, values, S: int):
 STACK_BYTES = 2 << 20
 
 
-def simulate_many(spec: ProcessSpec, n: int, streams):
-    """Panels simulate(spec, n, s) for s in streams, in order, as an iterator.
+def _panels(spec: ProcessSpec, n: int, innovations, count: int):
+    """The panel of each of the count arrays the iterator innovations yields,
+    in order.  threshold-ar steps a stack of paths at a time (STACK_BYTES)
+    through the one kernel, which acts coordinatewise, so where stacks split
+    changes no bit.  iid and linear build each panel alone, since the bits
+    of a matrix product depend on its shape."""
+    if spec.family != "threshold-ar":
+        for eps in innovations:
+            yield Panel(_lag_sums(spec, eps, _panel_weights(spec), 1))
+        return
+    size = max(1, STACK_BYTES // (8 * spec.p * (n + spec.burn_in)))
+    for start in range(0, count, size):
+        S = min(size, count - start)
+        paths = _tar_paths(itertools.islice(innovations, S), S, spec.theta1, spec.theta2,
+                           spec.burn_in)
+        for r in range(S):
+            yield Panel(paths[:, r].copy())
+        del paths  # so that the next stack is stepped with this one's rows freed
 
-    Panel r equals simulate(spec, n, streams[r]) bit for bit.  threshold-ar
-    draws its paths a stack at a time (see STACK_BYTES) and steps each stack
-    as one state through the one kernel, so a consumer that takes panels
-    one by one holds at most one stack.  iid and linear build each panel
-    alone, since the bits of a matrix product depend on its shape.
-    """
+
+def simulate_many(spec: ProcessSpec, n: int, streams):
+    """Panels simulate(spec, n, s) for s in streams, in order and bit for bit,
+    as an iterator; threshold-ar steps them a stack at a time (_panels)."""
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
     streams = list(streams)
-    if spec.family != "threshold-ar":
-        return (_linear_panel(spec, _draw_innovations(spec, n, s)) for s in streams)
-    size = max(1, STACK_BYTES // (8 * spec.p * (n + spec.burn_in)))
-    stacks = [streams[i:i + size] for i in range(0, len(streams), size)]
-    return itertools.chain.from_iterable(
-        _tar_panels(spec, (_draw_innovations(spec, n, s) for s in stack), len(stack))
-        for stack in stacks)
+    return _panels(spec, n, (_draw_innovations(spec, n, s) for s in streams), len(streams))
 
 
 def simulate(spec: ProcessSpec, n: int, rng: RngContract) -> Panel:
@@ -600,21 +597,26 @@ def simulate(spec: ProcessSpec, n: int, rng: RngContract) -> Panel:
     return next(simulate_many(spec, n, [rng]))
 
 
-def simulate_coupled(spec: ProcessSpec, n: int, rng: RngContract) -> tuple[Panel, Panel]:
-    """Draw a panel and its coupled copy with the time-0 innovation replaced.
-
-    Both panels share every innovation except eps_0, which the copy swaps
-    for an independent draw; rows where eps_0 has no influence agree
-    bit-exactly.  threshold-ar steps the pair as one stacked state.
-    """
+def simulate_coupled(spec: ProcessSpec, n: int, streams):
+    """(panel, copy) for each stream s, in order, as an iterator: simulate(spec,
+    n, s) and its copy with eps_0 redrawn from s.derive("coupling"), so rows
+    that eps_0 does not reach agree bit-exactly.  All panels go through
+    _panels as one sequence: threshold-ar steps many pairs as one stack, and
+    pair r equals the pair of streams[r] alone."""
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
-    eps = _draw_innovations(spec, n, rng)
-    eps_c = eps.copy()
-    eps_c[-n] = spec.innovation.sample(rng.derive("coupling").generator(), (spec.p,))
-    if spec.family == "threshold-ar":
-        return tuple(_tar_panels(spec, (eps, eps_c), 2))
-    return _linear_panel(spec, eps), _linear_panel(spec, eps_c)
+    streams = list(streams)
+
+    def innovations():
+        for s in streams:
+            eps = _draw_innovations(spec, n, s)
+            yield eps
+            eps = eps.copy()
+            eps[-n] = spec.innovation.sample(s.derive("coupling").generator(), (spec.p,))
+            yield eps
+
+    panels = _panels(spec, n, innovations(), 2 * len(streams))
+    return zip(panels, panels)
 
 
 @functools.lru_cache(maxsize=8)

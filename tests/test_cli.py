@@ -607,6 +607,24 @@ def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
     assert man["config_digest"] == sha256_file(cfg)
 
 
+
+def test_check_conditions_takes_exactly_one_of_profile_and_config(tmp_path, capsys):
+    # the report would come from one source while the manifest records the
+    # digest of the other, so giving both (or neither) is an input error
+    from hdts.depmeasure import closed_form_profile
+    prof = tmp_path / "prof.json"
+    io.write_json(prof, closed_form_profile(ProcessSpec("iid", p=5), 8.0, 1.5).to_json_dict())
+    cfg = write_config(tmp_path / "cfg.ini")
+    out = tmp_path / "report.json"
+    for sources in (["--profile", str(prof), "--config", cfg], []):
+        rc = main(["check-conditions", *sources, "--n", "4096", "--out", str(out)])
+        assert rc == 2
+        body = json.loads(capsys.readouterr().err)
+        assert body["type"] == "validation"
+        assert "exactly one of --profile and --config" in body["error"]
+        assert not out.exists()
+
+
 _PROCESS_TAIL = "theta1 = 0.3\ntheta2 = 0.3\nburn_in = 1024\n\n[innovation]\n"
 
 

@@ -137,7 +137,7 @@ def test_mc_profile_bound_feeds_condition_checker():
 def test_mc_cov_norms_rejects_orders_before_simulating(monkeypatch, spec, q):
     def fail(*args, **kwargs):
         raise AssertionError("simulated with an unusable moment order")
-    monkeypatch.setattr("hdts.depmeasure.simulate_coupled", fail)
+    monkeypatch.setattr("hdts.model._draw_innovations", fail)
     with pytest.raises(ValidationError, match="moment"):
         mc_cov_norms(spec, q, 1.0, 100, RNG)
 
@@ -165,8 +165,8 @@ def test_mc_per_lag_product_deltas_never_exceed_bound():
     lags, R = 12, 1500
     js, ks = pair_indices(3)
     vals = np.empty((R, lags + 1, len(js)))
-    for r in range(R):
-        x, xc = simulate_coupled(spec, lags + 1, RNG.derive("perlag", r))
+    pairs = simulate_coupled(spec, lags + 1, [RNG.derive("perlag", r) for r in range(R)])
+    for r, (x, xc) in enumerate(pairs):
         vals[r] = np.abs(x.data[:, js] * x.data[:, ks]
                          - xc.data[:, js] * xc.data[:, ks])
     mom = np.mean(vals ** (q / 2.0), axis=0)

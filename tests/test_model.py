@@ -31,6 +31,8 @@ def test_invalid_specs_name_the_violated_invariant():
         InnovationLaw.student_t(2.0)
     with pytest.raises(ValidationError, match="n must be >= 1"):
         simulate(ProcessSpec("iid", p=1), 0, RNG)
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        simulate_coupled(ProcessSpec("threshold-ar", p=1), 0, [RNG])
 
 
 def test_simulate_shapes_and_determinism():
@@ -70,7 +72,7 @@ def test_threshold_ar_reduces_to_ar1():
 
 def test_iid_coupling_touches_only_time_zero():
     spec = ProcessSpec("iid", p=4)
-    x, xc = simulate_coupled(spec, 10, RNG.derive("iid-couple"))
+    x, xc = next(simulate_coupled(spec, 10, [RNG.derive("iid-couple")]))
     diff = np.abs(x.data - xc.data).sum(axis=1)
     assert diff[0] > 0
     assert np.all(diff[1:] == 0.0)
@@ -78,7 +80,7 @@ def test_iid_coupling_touches_only_time_zero():
 
 def test_linear_coupling_supported_on_lag_window():
     spec = ProcessSpec("linear", p=4, alpha=1.0, K=2, h=1, rho=0.5)
-    x, xc = simulate_coupled(spec, 12, RNG.derive("lin-couple"))
+    x, xc = next(simulate_coupled(spec, 12, [RNG.derive("lin-couple")]))
     diff = np.abs(x.data - xc.data).sum(axis=1)
     assert np.all(diff[:3] > 0)          # rows 0..K feel the replaced innovation
     assert np.all(diff[3:] == 0.0)       # bit-exact agreement past the window
@@ -102,7 +104,7 @@ def test_linear_coupling_agrees_bit_for_bit_past_the_lag_window(family, K, n, p,
     # each panel row reads only its own K+1 innovations, so a row at a time
     # past K, which never sees eps_0, is the same bits in both panels
     spec = ProcessSpec(family, p=p, alpha=alpha, K=K, h=h, rho=rho)
-    x, xc = simulate_coupled(spec, n, RngContract(seed))
+    x, xc = next(simulate_coupled(spec, n, [RngContract(seed)]))
     assert np.any(x.data[0] != xc.data[0])
     assert np.array_equal(_bits(x.data[spec.K + 1:]), _bits(xc.data[spec.K + 1:]))
 
@@ -135,8 +137,7 @@ def test_threshold_ar_coupling_decays_geometrically():
     acc = np.zeros(30)
     R = 10_000
     base = RNG.derive("tar-couple")
-    for r in range(R):
-        x, xc = simulate_coupled(spec, 31, base.derive("rep", r))
+    for x, xc in simulate_coupled(spec, 31, [base.derive("rep", r) for r in range(R)]):
         acc += np.max(np.abs(x.data - xc.data), axis=1)[1:]
     slope = fit_loglog_slope(np.exp(np.arange(1, 31)), acc / R)  # log-linear fit in i
     assert abs(slope - math.log(theta)) < 0.1
@@ -282,13 +283,50 @@ def test_threshold_ar_coupling_agrees_bit_for_bit_on_a_suffix(n, theta1, theta2,
     spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
                        burn_in=0)
     rng = RngContract(seed)
-    x, xc = simulate_coupled(spec, n, rng)
+    x, xc = next(simulate_coupled(spec, n, [rng]))
     same = _bits(x.data) == _bits(xc.data)
     assert np.all(same[1:] >= same[:-1])
     # time 0 is row 0 at burn_in 0; the copy's eps_0 is the coupling stream's draw
     eps0 = _draw_innovations(spec, n, rng)[0]
     eps0_c = spec.innovation.sample(rng.derive("coupling").generator(), (p,))
     assert np.array_equal(same[0], _bits(eps0) == _bits(eps0_c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["iid", "linear", "threshold-ar"]), n=st.integers(1, 300),
+       pairs=st.integers(1, 12), cap=st.integers(1, 5), K=st.integers(0, 30),
+       h=st.integers(0, 2), burn_in=st.integers(0, 300), **_TAR_SHAPES)
+@example(family="threshold-ar", n=31, pairs=7, cap=3, K=0, h=0, burn_in=64, theta1=0.5,
+         theta2=0.5, p=2, law=InnovationLaw.gaussian(), seed=1)  # pairs split across stacks
+@example(family="threshold-ar", n=200, pairs=5, cap=5, K=0, h=0, burn_in=100, theta1=0.5,
+         theta2=-0.3, p=3, law=InnovationLaw.symmetric_pareto(4.0, body="shell"),
+         seed=5)                                                    # repairs
+@example(family="linear", n=40, pairs=4, cap=1, K=3, h=1, burn_in=0, theta1=0.0,
+         theta2=0.0, p=3, law=InnovationLaw.student_t(3.0), seed=2)
+def test_coupled_pairs_drawn_together_equal_pairs_drawn_alone(family, n, pairs, cap, K, h,
+                                                               burn_in, theta1, theta2, p,
+                                                               law, seed):
+    # the byte budget holds cap paths, so at odd cap a stack ends between a
+    # panel and its copy; threshold-AR pairs also equal the plain step loop
+    # on the innovations with eps_0 redrawn from the coupling stream
+    from unittest import mock
+    spec = ProcessSpec(family, p=p, innovation=law, K=K, h=h, rho=0.5, theta1=theta1,
+                       theta2=theta2, burn_in=burn_in)
+    streams = [RngContract(seed).derive("pairs", r) for r in range(pairs)]
+    with mock.patch.object(model, "STACK_BYTES", cap * 8 * p * (n + spec.burn_in)):
+        together = list(simulate_coupled(spec, n, streams))
+        alone = [next(simulate_coupled(spec, n, [s])) for s in streams]
+    assert len(together) == pairs
+    for pair, one, s in zip(together, alone, streams):
+        for a, b in zip(pair, one):
+            assert np.array_equal(_bits(a.data), _bits(b.data))
+        if family == "threshold-ar":
+            eps = _draw_innovations(spec, n, s)
+            eps_c = eps.copy()
+            eps_c[-n] = law.sample(s.derive("coupling").generator(), (p,))
+            for panel, e in zip(pair, (eps, eps_c)):
+                ref = _plain_tar_path(e, theta1, theta2)[burn_in:]
+                assert np.array_equal(_bits(panel.data), _bits(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +445,8 @@ def test_iid_is_the_linear_process_at_lag_zero(p, K, h, alpha, rho, law, n, seed
     assert iid == ProcessSpec("iid", p=p, innovation=law, alpha=alpha, rho=rho)
     assert np.array_equal(simulate(iid, n, RngContract(seed)).data,
                           simulate(lin, n, RngContract(seed)).data)
-    for a, b in zip(simulate_coupled(iid, n, RngContract(seed)),
-                    simulate_coupled(lin, n, RngContract(seed))):
+    for a, b in zip(next(simulate_coupled(iid, n, [RngContract(seed)])),
+                    next(simulate_coupled(lin, n, [RngContract(seed)]))):
         assert np.array_equal(a.data, b.data)
     assert np.array_equal(true_sigma(iid), true_sigma(lin))
     for k in (0, 1, -2):
@@ -496,7 +534,7 @@ def test_shared_coefficient_arrays_change_no_bit(family, K, n, p, h, alpha, rho,
         return [column_sums(spec, n, rng.derive("sum", 0)),
                 column_sums(spec, n, rng.derive("sum", 1)),
                 simulate(spec, n, rng.derive("panel")).data,
-                *(panel.data for panel in simulate_coupled(spec, n, rng.derive("coupled"))),
+                *(x.data for x in next(simulate_coupled(spec, n, [rng.derive("coupled")]))),
                 mdep_rate_check(spec, 2.0, 1.0, [1, 2, 3], 2, rng, n=n).mc_norm,
                 ga_distance(spec, n, 9, rng, n_perm=0).sample_stats]
 

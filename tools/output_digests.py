@@ -15,10 +15,13 @@ output, `<sha256>  t<threads>/<file>`.  Manifests are hashed with
 dropped, since those hold wall-clock values.  Then one line per library
 case, `<sha256>  lib/<case>/<sampler>`: the `panel.data` bytes of
 `simulate`, of `simulate_many` over 9 streams (several threshold-AR
-stacks) and of the `simulate_coupled` pair, for iid, linear (K, h > 0)
-and threshold-AR specs (Gaussian; shell-pareto, whose zero runs force
-segment repairs; and a path short enough for fewer than 3 segments), and
-the bytes of `column_sums` over 9 streams for the iid and linear specs.
+stacks), of the `simulate_coupled` pair of one stream and of
+`simulate_coupled` over 9 streams (`simulate_coupled_many`: 18 panels,
+panel then copy, stepped as threshold-AR stacks of several pairs), for
+iid, linear (K, h > 0) and threshold-AR specs (Gaussian; shell-pareto,
+whose zero runs force segment repairs; and a path short enough for fewer
+than 3 segments), and the bytes of `column_sums` over 9 streams for the
+iid and linear specs.
 
 Every input (configs, the null matrix) is written as plain text here,
 not through hdts, so two versions of the package see the same bytes.
@@ -86,7 +89,8 @@ CONFIGS = {
 
 # (ProcessSpec keywords, n) of the library cases; 8 p (n + burn_in) bytes
 # a path makes simulate_many's threshold-AR stacks 4, 4, 1 / 4, 4, 1 /
-# 2, 2, 2, 2, 1 (model.STACK_BYTES = 2 MiB)
+# 2, 2, 2, 2, 1, and the 18 coupled paths' stacks 4 x 4, 2 / 4 x 4, 2 /
+# 9 x 2 (model.STACK_BYTES = 2 MiB)
 LIBRARY = {
     "iid": (dict(family="iid", p=3), 200),
     "linear": (dict(family="linear", p=5, alpha=0.5, K=30, h=2, rho=0.4), 200),
@@ -169,7 +173,9 @@ def library_digests() -> list[str]:
             "simulate_many": (panel.data for panel in
                               simulate_many(spec, n, [rng.derive("many", r) for r in range(9)])),
             "simulate_coupled": [panel.data for panel in
-                                 simulate_coupled(spec, n, rng.derive("coupled"))],
+                                 next(simulate_coupled(spec, n, [rng.derive("coupled")]))],
+            "simulate_coupled_many": (panel.data for pair in simulate_coupled(
+                spec, n, [rng.derive("coupled-many", r) for r in range(9)]) for panel in pair),
         }
         if spec.family != "threshold-ar":
             samplers["column_sums"] = [column_sums(spec, n, rng.derive("sums", r))
