@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depmeasure import (AuxNorms, DependenceProfile, _coupled_absdiff, _tail_sums,
-                         adjusted_norm, adjusted_norms)
+from .depmeasure import (AuxNorms, DependenceProfile, _coupled_absdiff, _power_mean_roots,
+                         _power_sum_root, _tail_sums, adjusted_norm, adjusted_norms)
 from .errors import AssumptionError, ValidationError
 from .gboot import _degenerate_error, bootstrap_quantile, check_symmetric
 from .longrun import BlockPlan, LongRunEstimate, plan_blocks
@@ -116,8 +116,7 @@ def cov_dep_norm_bound(profile: DependenceProfile) -> DependenceProfile:
     per_pair = 2.0 * norms_0[js] * norms_a[ks] + 2.0 * norms_0[ks] * norms_a[js]
     uniform = 4.0 * float(np.max(norms_0)) * float(np.max(norms_a))
     q2 = q / 2.0
-    overall = 4.0 * float(np.sum(norms_0 ** q2) ** (2.0 / q)) * \
-        float(np.sum(norms_a ** q2) ** (2.0 / q))
+    overall = 4.0 * _power_sum_root(norms_0, q2) * _power_sum_root(norms_a, q2)
 
     if profile.Omega is not None:
         linf_0 = adjusted_norm(profile.Omega, 0.0)
@@ -159,8 +158,7 @@ def mc_cov_norms(spec: ProcessSpec, q: float, alpha: float, R: int,
     q2 = q / 2.0
 
     def norm_from_weights(w: np.ndarray) -> np.ndarray:
-        mom = (w @ absdiff.reshape(R, -1) ** q2).reshape(-1, *absdiff.shape[1:])
-        phi = np.clip(mom, 0.0, None) ** (1.0 / q2)
+        phi = _power_mean_roots(absdiff, q2, w)
         return np.array([adjusted_norms(_tail_sums(phi_b), alpha) for phi_b in phi])
 
     norms = norm_from_weights(np.full((1, R), 1.0 / R))[0]

@@ -206,20 +206,23 @@ def _coord_scale(spec: ProcessSpec, order: float) -> np.ndarray:
     return spec.innovation.diff_norm(order) * np.linalg.norm(spec.cross_mixer(), axis=1)
 
 
-def _coord_aggregate(Delta: np.ndarray, q: float, alpha: float):
-    """(coord_norms, Psi, Upsilon) from the per-coordinate tail sums.
-
-    Upsilon = (sum_j c_j^q)^(1/q); where that sum overflows, it is taken as
-    m (sum_j (c_j/m)^q)^(1/q) with m = max_j c_j, which is finite wherever
-    the norms are.
-    """
-    coord_norms = adjusted_norms(Delta, alpha)
-    Psi = float(np.max(coord_norms))
+def _power_sum_root(c: np.ndarray, q: float) -> float:
+    """(sum_j c_j^q)^(1/q) of nonnegative c; where that sum overflows, it is
+    taken as m (sum_j (c_j/m)^q)^(1/q) with m = max_j c_j, which is finite
+    wherever the c_j are."""
     with np.errstate(over="ignore"):
-        Upsilon = float(np.sum(coord_norms ** q) ** (1.0 / q))
-    if math.isinf(Upsilon) and math.isfinite(Psi):
-        Upsilon = Psi * float(np.sum((coord_norms / Psi) ** q) ** (1.0 / q))
-    return coord_norms, Psi, Upsilon
+        root = float(np.sum(c ** q) ** (1.0 / q))
+    m = float(np.max(c))
+    if math.isinf(root) and math.isfinite(m):
+        root = m * float(np.sum((c / m) ** q) ** (1.0 / q))
+    return root
+
+
+def _coord_aggregate(Delta: np.ndarray, q: float, alpha: float):
+    """(coord_norms, Psi, Upsilon) from the per-coordinate tail sums, with
+    Upsilon = (sum_j c_j^q)^(1/q) taken by _power_sum_root."""
+    coord_norms = adjusted_norms(Delta, alpha)
+    return coord_norms, float(np.max(coord_norms)), _power_sum_root(coord_norms, q)
 
 
 def _linf_aggregate(Omega: np.ndarray, Upsilon: float, alpha: float, p: int):
@@ -385,6 +388,15 @@ def _coupled_absdiff(spec: ProcessSpec, q: float, R: int, rng: RngContract,
     return diffs, weights
 
 
+def _power_mean_roots(x: np.ndarray, order: float, weights: np.ndarray) -> np.ndarray:
+    """(sum_r w_r x_r^order)^(1/order) over axis 0 of the nonnegative x, for
+    each row w of weights (k, R); taken relative to the maximum over axis 0,
+    so that no power overflows where the roots are finite."""
+    top = np.max(x, axis=0)
+    scale = np.where(top > 0.0, top, 1.0)
+    return scale * np.tensordot(weights, (x / scale) ** order, axes=1) ** (1.0 / order)
+
+
 def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
                rng: RngContract, lags: int = 30) -> DependenceProfile:
     """Dependence profile estimated from R coupled simulations.
@@ -398,22 +410,14 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
     absdiff, weights = _coupled_absdiff(spec, q, R, rng, "mc-profile", lags)
     n = lags + 1
     p = spec.p
+    mean = np.full((1, R), 1.0 / R)
 
-    def power_mean_root(order: float) -> np.ndarray:
-        return np.mean(absdiff ** order, axis=0) ** (1.0 / order)
-
-    delta = power_mean_root(q)
-
-    # multinomial bootstrap over replications for SE bands
-    vals_q = absdiff.reshape(R, -1) ** q
-    boot = (weights @ vals_q)
-    boot = np.clip(boot, 0.0, None) ** (1.0 / q)
-    delta_se = boot.std(axis=0, ddof=1).reshape(n, p)
-
+    # power means over the replications, and their multinomial resamples for SE bands
+    delta = _power_mean_roots(absdiff, q, mean)[0]
+    delta_se = _power_mean_roots(absdiff, q, weights).std(axis=0, ddof=1)
     maxdiff = np.max(absdiff, axis=2)            # (R, n)
-    omega = np.mean(maxdiff ** q, axis=0) ** (1.0 / q)
-    boot_om = (weights @ (maxdiff ** q)) ** (1.0 / q)
-    omega_se = boot_om.std(axis=0, ddof=1)
+    omega = _power_mean_roots(maxdiff, q, mean)[0]
+    omega_se = _power_mean_roots(maxdiff, q, weights).std(axis=0, ddof=1)
 
     source: dict = {"kind": "monte-carlo", "R": R, "lags": lags,
                     "bootstrap": _SE_RESAMPLES}
@@ -446,7 +450,7 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
     aux = AuxNorms()
     for order in _AUX_NAMES:
         if law.admits_moment(order):
-            D_o = tail_sums(power_mean_root(order))
+            D_o = tail_sums(_power_mean_roots(absdiff, order, mean)[0])
             _set_aux(aux, order, float(np.max(adjusted_norms(D_o, 0.0))),
                      float(np.max(adjusted_norms(D_o, alpha))))
 
@@ -461,24 +465,31 @@ def mc_profile(spec: ProcessSpec, q: float, alpha: float, R: int,
 # Condition checking
 # ---------------------------------------------------------------------------
 
+def _reported(log_value: float) -> float:
+    """exp(log_value) for a report: 0.0 below the float range, NumericalError beyond it."""
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value))
+    if not math.isfinite(value):
+        raise NumericalError("a reported condition value lies beyond the float range")
+    return value
+
+
 @dataclass
 class ConditionValue:
     name: str
     lhs: float
     rhs: float
+    ratio: float
+    satisfied: bool
 
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else math.inf
-
-    @property
-    def satisfied(self) -> bool:
-        # finite-sample proxy for the asymptotic o(.) statement
-        return self.ratio < 1.0
-
-    def to_json_dict(self):
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "ratio": self.ratio, "satisfied": self.satisfied}
+    @classmethod
+    def from_logs(cls, name: str, log_lhs: float, log_rhs: float) -> "ConditionValue":
+        """The condition lhs < rhs from the logarithms of its sides.  ratio and
+        satisfied come from their difference, so they hold where both sides
+        underflow to 0.0; a side beyond the float range raises NumericalError."""
+        with np.errstate(over="ignore"):
+            ratio = float(np.exp(log_lhs - log_rhs))
+        return cls(name, _reported(log_lhs), _reported(log_rhs), ratio, log_lhs < log_rhs)
 
 
 @dataclass
@@ -506,8 +517,7 @@ class GAConditionReport:
     alpha_one_flag: bool = False
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self),
-                "conditions": [c.to_json_dict() for c in self.conditions]}
+        return asdict(self)
 
 
 def ultra_high_dim_exponent(alpha: float, beta: float) -> float:
@@ -540,18 +550,16 @@ def ga_condition_check(profile: DependenceProfile, n: int,
                        ) -> GAConditionReport:
     """Evaluate every explicit approximation condition at finite (n, p).
 
-    Each condition is reported as left/right values with a satisfied flag
-    (ratio < 1 as the finite-sample proxy for the o(.) statement).  Norms not
-    finite and > 0 and a nu outside [0, inf) raise ValidationError;
-    arithmetic that leaves the float range raises NumericalError.
+    Every term (L1-L3, W1-W4, N1-N4) and both sides of every condition are
+    formed once as natural logarithms, from log n, log log p, log log(pn),
+    log Theta and the logs of the auxiliary and Phi norms, and exponentiated
+    once for the report; a value below the float range is reported as 0.0.
+    A condition is satisfied when log lhs < log rhs (ratio < 1 as the
+    finite-sample proxy for the o(.) statement).  Norms not finite and > 0,
+    a missing auxiliary or Phi norm and a nu outside [0, inf) raise
+    ValidationError; a reported value beyond the float range raises
+    NumericalError.
     """
-    try:
-        return _ga_conditions(profile, n, p, nu)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"condition arithmetic left the float range: {exc}") from None
-
-
-def _ga_conditions(profile: DependenceProfile, n: int, p, nu) -> GAConditionReport:
     q, alpha = profile.q, profile.alpha
     p = float(p if p is not None else profile.p)
     _check_order(q)
@@ -571,9 +579,6 @@ def _ga_conditions(profile: DependenceProfile, n: int, p, nu) -> GAConditionRepo
     if nu is not None and not 0.0 <= nu < math.inf:
         raise ValidationError(f"need a finite nu >= 0, got {nu}")
 
-    lp = math.log(p)
-    lpn = math.log(p * n)
-    Theta = profile.Theta
     aux = profile.aux
     need = {"Psi_2_alpha": aux.psi_2_a, "Psi_2_0": aux.psi_2_0,
             "Psi_3_0": aux.psi_3_0, "Psi_4_0": aux.psi_4_0}
@@ -581,81 +586,70 @@ def _ga_conditions(profile: DependenceProfile, n: int, p, nu) -> GAConditionRepo
     if missing:
         raise ValidationError(f"profile lacks auxiliary norms: {', '.join(missing)}")
     norms = {"Psi": profile.Psi, "Upsilon": profile.Upsilon, "sup_norm": profile.sup_norm,
-             "Theta": Theta, "Phi": profile.Phi, "Phi_0": profile.Phi_0, **need}
+             "Theta": profile.Theta, "Phi": profile.Phi, "Phi_0": profile.Phi_0, **need}
     bad = [k for k, v in norms.items() if v is not None and not 0.0 < v < math.inf]
     if bad:
         raise ValidationError(f"profile norms must be finite and > 0: {', '.join(bad)}")
+    if nu is not None and (profile.Phi is None or profile.Phi_0 is None):
+        raise ValidationError(
+            "sub-exponential check requested but the profile has no finite Phi norms")
 
-    L1 = (n ** (1.0 / q - 0.5) * lp ** 0.5 * Theta) ** (1.0 / (alpha - 0.5 + 1.0 / q)) \
-        if alpha > boundary else None
-    L2 = (aux.psi_2_a * aux.psi_2_0 * lp ** 2) ** (1.0 / alpha)
-    W1 = (aux.psi_3_0 ** 6 + aux.psi_4_0 ** 4) * lpn ** 7
-    W2 = aux.psi_2_a ** 2 * lpn ** 4
-    W3 = (n ** (-alpha) * lpn ** 1.5 * Theta) ** (1.0 / (0.5 - alpha - 1.0 / q)) \
-        if alpha < boundary else None
-    N1 = (n / lp) ** (q / 2.0) / Theta ** q
-    N2 = n * lp ** (-2.0) * aux.psi_2_a ** (-2.0)
-    N3 = (n ** 0.5 * lp ** (-0.5) / Theta) ** (1.0 / (0.5 - alpha)) \
-        if alpha < 0.5 else None
+    # every term below is the logarithm of the quantity it names
+    ln_n, ln_p = math.log(n), math.log(p)
+    ll_p, ll_pn = math.log(ln_p), math.log(ln_p + ln_n)
+    theta, psi_2a = math.log(profile.Theta), math.log(aux.psi_2_a)
+    weaker = alpha > boundary
+    L1 = ((1.0 / q - 0.5) * ln_n + 0.5 * ll_p + theta) / (alpha - boundary) \
+        if weaker else None
+    L2 = (psi_2a + math.log(aux.psi_2_0) + 2.0 * ll_p) / alpha
+    W1 = float(np.logaddexp(6.0 * math.log(aux.psi_3_0),
+                            4.0 * math.log(aux.psi_4_0))) + 7.0 * ll_pn
+    W2 = 2.0 * psi_2a + 4.0 * ll_pn
+    W3 = (1.5 * ll_pn + theta - alpha * ln_n) / (boundary - alpha) if not weaker else None
+    N1 = q * (0.5 * (ln_n - ll_p) - theta)
+    N2 = ln_n - 2.0 * ll_p - 2.0 * psi_2a
+    N3 = (0.5 * (ln_n - ll_p) - theta) / (0.5 - alpha) if alpha < 0.5 else None
+    per_L2 = ln_n - L2 - math.log(ln_n)            # n / (L2 log n)
+
+    alpha_one = abs(alpha - 1.0) < 1e-12
+    if weaker:
+        regime = "weaker"
+        conditions = [
+            ("decay:Theta*n^(1/q-1/2)*log(pn)^(3/2)",
+             theta + (1.0 / q - 0.5) * ln_n + 1.5 * ll_pn, 0.0),
+            ("balance:max(L1,L2)*max(W1,W2)<min(N1,N2)", max(L1, L2) + max(W1, W2),
+             min(N1, N2))]
+        if alpha_one:
+            conditions.append(("alpha=1:max(W1,W2)<n/(L2*log n)", max(W1, W2), per_L2))
+    else:
+        regime = "stronger"
+        conditions = [
+            ("decay:Theta*sqrt(log p)<n^alpha", theta + 0.5 * ll_p, alpha * ln_n),
+            ("balance:L2*max(W1,W2,W3)<min(N2,N3)", L2 + max(W1, W2, W3), min(N2, N3))]
+
+    L3 = N4 = W4 = None
+    if nu is not None:
+        regime = "sub-exponential"
+        inv_beta = (1.0 + 2.0 * nu) / 2.0          # 1/beta, with beta = 2/(1 + 2 nu)
+        phi_0 = math.log(profile.Phi_0)
+        L3 = ((inv_beta + 0.5) * ll_p + math.log(profile.Phi)) / alpha
+        N4 = ln_n - (1.0 + 2.0 * inv_beta) * ll_p - 2.0 * phi_0
+        W4 = float(np.logaddexp((3.0 + 2.0 * inv_beta) * ll_pn + 2.0 * phi_0, 4.0 * ll_pn))
+        conditions += [("subexp:max(L2,L3)*max(W1,W4)<N4", max(L2, L3) + max(W1, W4), N4),
+                       ("subexp:L2^alpha*max(W1,W4)<n", alpha * L2 + max(W1, W4), ln_n)]
+        if alpha_one:
+            conditions.append(("alpha=1:max(W1,W4)<n/(L2*log n)", max(W1, W4), per_L2))
+
+    terms = dict(L1=L1, L2=L2, L3=L3, W1=W1, W2=W2, W3=W3, W4=W4, N1=N1, N2=N2, N3=N3, N4=N4)
+    terms = {k: None if v is None else _reported(v) for k, v in terms.items()}
+    conditions = [ConditionValue.from_logs(*c) for c in conditions]
+    ultra_c = ultra_high_dim_exponent(alpha, 1.0 / inv_beta) if nu is not None else None
 
     plan = plan_blocks(n)
     try:
         F_alpha = f_alpha_factor(q, alpha, plan.w, plan.M)
     except BoundaryError:
         F_alpha = None
-
-    conditions: list[ConditionValue] = []
-    alpha_one = abs(alpha - 1.0) < 1e-12
-    if alpha > boundary:
-        regime = "weaker"
-        conditions.append(ConditionValue(
-            "decay:Theta*n^(1/q-1/2)*log(pn)^(3/2)",
-            Theta * n ** (1.0 / q - 0.5) * lpn ** 1.5, 1.0))
-        conditions.append(ConditionValue(
-            "balance:max(L1,L2)*max(W1,W2)<min(N1,N2)",
-            max(L1, L2) * max(W1, W2), min(N1, N2)))
-        if alpha_one:
-            conditions.append(ConditionValue(
-                "alpha=1:max(W1,W2)<n/(L2*log n)",
-                max(W1, W2), n / (L2 * math.log(n))))
-    else:
-        regime = "stronger"
-        conditions.append(ConditionValue(
-            "decay:Theta*sqrt(log p)<n^alpha",
-            Theta * lp ** 0.5, n ** alpha))
-        conditions.append(ConditionValue(
-            "balance:L2*max(W1,W2,W3)<min(N2,N3)",
-            L2 * max(W1, W2, W3), min(N2, N3)))
-
-    L3 = N4 = W4 = ultra_c = None
-    if nu is not None:
-        if profile.Phi is None or profile.Phi_0 is None:
-            raise ValidationError(
-                "sub-exponential check requested but the profile has no "
-                "finite Phi norms")
-        regime = "sub-exponential"
-        beta = 2.0 / (1.0 + 2.0 * nu)
-        L3 = (lp ** (1.0 / beta + 0.5) * profile.Phi) ** (1.0 / alpha)
-        N4 = n * lp ** (-1.0 - 2.0 / beta) * profile.Phi_0 ** (-2.0)
-        W4 = lpn ** (3.0 + 2.0 / beta) * profile.Phi_0 ** 2 + lpn ** 4
-        conditions.append(ConditionValue(
-            "subexp:max(L2,L3)*max(W1,W4)<N4",
-            max(L2, L3) * max(W1, W4), N4))
-        conditions.append(ConditionValue(
-            "subexp:L2^alpha*max(W1,W4)<n",
-            L2 ** alpha * max(W1, W4), float(n)))
-        if alpha_one:
-            conditions.append(ConditionValue(
-                "alpha=1:max(W1,W4)<n/(L2*log n)",
-                max(W1, W4), n / (L2 * math.log(n))))
-        ultra_c = ultra_high_dim_exponent(alpha, beta)
-    values = [L1, L2, L3, W1, W2, W3, W4, N1, N2, N3, N4] + [
-        v for c in conditions for v in (c.lhs, c.rhs)]
-    if not all(math.isfinite(v) for v in values if v is not None):
-        raise OverflowError("a condition value is not finite")
-
     return GAConditionReport(
-        n=n, p=p, q=q, alpha=alpha, nu=nu, regime=regime,
-        L1=L1, L2=L2, L3=L3, W1=W1, W2=W2, W3=W3, W4=W4,
-        N1=N1, N2=N2, N3=N3, N4=N4, F_alpha=F_alpha,
+        n=n, p=p, q=q, alpha=alpha, nu=nu, regime=regime, **terms, F_alpha=F_alpha,
         conditions=conditions, ultra_c=ultra_c, alpha_one_flag=alpha_one)

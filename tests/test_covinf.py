@@ -151,6 +151,21 @@ def test_mc_norms_never_exceed_bound():
     assert np.all(norms <= bound.Psi + 3.0 * se)
 
 
+def test_product_norms_are_finite_past_the_direct_power_overflow():
+    # at q = 1000 the sums of c_j^(q/2) and of |product differences|^(q/2)
+    # overflow; both are taken relative to the largest term (a numpy
+    # overflow warning fails the suite)
+    spec = ProcessSpec("iid", p=5)
+    bound = cov_dep_norm_bound(closed_form_profile(spec, 1000.0, 1.5))
+    # iid: every coordinate has the same norms at decays 0 and alpha, so each
+    # of the two roots of order q/2 is 5^(2/q) times its largest norm
+    assert bound.Upsilon == pytest.approx(5.0 ** (4.0 / 1000.0) * bound.Psi, rel=1e-12)
+    assert bound.Theta == min(bound.Upsilon, bound.sup_norm * math.log(15))
+    norms, se = mc_cov_norms(ProcessSpec("iid", p=2), 1000.0, 1.5, 200, RNG.derive("q1000"),
+                             lags=3)
+    assert np.all(np.isfinite(norms)) and np.all(norms > 0) and np.all(np.isfinite(se))
+
+
 def test_mc_per_lag_product_deltas_never_exceed_bound():
     # lag-by-lag: phi_{i,q/2,a} <= 2||X_ij||_q delta_{i,q,k}
     #                            + 2||X_ik||_q delta_{i,q,j}

@@ -1,15 +1,18 @@
+import contextlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hdts.depmeasure import (AuxNorms, DependenceProfile, adjusted_norm,
+from hdts.depmeasure import (AuxNorms, ConditionValue, DependenceProfile, adjusted_norm,
                              closed_form_profile, ga_condition_check,
                              gaussian_maxabs_moment_root, mc_profile,
                              power_law_min_tau, ultra_high_dim_exponent)
-from hdts.errors import BoundaryError, ValidationError
-from hdts.longrun import f_alpha_factor
+from hdts.errors import BoundaryError, NumericalError, ValidationError
+from hdts.longrun import f_alpha_factor, plan_blocks
 from hdts.model import InnovationLaw, ProcessSpec, gaussian_abs_moment_root
 from hdts.rng import RngContract
 
@@ -238,6 +241,17 @@ def test_mc_profile_threshold_ar_contraction_slope():
     assert prof.source.get("truncation_lag") == 12
 
 
+def test_mc_profile_is_finite_past_the_direct_power_overflow():
+    # |X - X'|^q overflows from |X - X'| of about 2.03 on at q = 1000; the
+    # power means are taken relative to each column's maximum (a numpy
+    # overflow warning fails the suite)
+    prof = mc_profile(ProcessSpec("iid", p=2), 1000.0, 1.5, 200, RngContract(1), lags=3)
+    assert np.all(np.isfinite(prof.delta)) and np.all(prof.delta[0] > 2.03)
+    assert np.all(prof.delta[1:] == 0.0)          # iid: no dependence past lag 0
+    assert np.all(np.isfinite(prof.delta_se)) and np.all(np.isfinite(prof.omega_se))
+    assert prof.Psi == np.max(prof.delta[0]) and math.isfinite(prof.Upsilon)
+
+
 def test_mc_profile_converges_at_root_R_rate():
     spec = ProcessSpec("linear", p=2, alpha=1.0, K=4, h=0)
     cf = closed_form_profile(spec, 2.0, 1.0)
@@ -314,6 +328,128 @@ def test_condition_spreadsheet_cross_check():
         lhs = max(rep.L1, rep.L2) * max(rep.W1, rep.W2)
         assert rep.conditions[1].lhs == pytest.approx(lhs)
         assert rep.conditions[1].rhs == pytest.approx(min(rep.N1, rep.N2))
+
+
+def _linear_conditions(profile, n, p, nu):
+    """The condition terms and sides formed in linear space, as the checker
+    once did: (regime, terms, [(name, lhs, rhs)], F_alpha, ultra_c), with
+    OverflowError or ZeroDivisionError where that arithmetic leaves the
+    float range.  The reference for the log-space checker."""
+    q, alpha, Theta, aux = profile.q, profile.alpha, profile.Theta, profile.aux
+    boundary = 0.5 - 1.0 / q
+    lp = math.log(p)
+    lpn = math.log(p * n)
+    L1 = (n ** (1.0 / q - 0.5) * lp ** 0.5 * Theta) ** (1.0 / (alpha - 0.5 + 1.0 / q)) \
+        if alpha > boundary else None
+    L2 = (aux.psi_2_a * aux.psi_2_0 * lp ** 2) ** (1.0 / alpha)
+    W1 = (aux.psi_3_0 ** 6 + aux.psi_4_0 ** 4) * lpn ** 7
+    W2 = aux.psi_2_a ** 2 * lpn ** 4
+    W3 = (n ** (-alpha) * lpn ** 1.5 * Theta) ** (1.0 / (0.5 - alpha - 1.0 / q)) \
+        if alpha < boundary else None
+    N1 = (n / lp) ** (q / 2.0) / Theta ** q
+    N2 = n * lp ** (-2.0) * aux.psi_2_a ** (-2.0)
+    N3 = (n ** 0.5 * lp ** (-0.5) / Theta) ** (1.0 / (0.5 - alpha)) \
+        if alpha < 0.5 else None
+    plan = plan_blocks(n)
+    try:
+        F_alpha = f_alpha_factor(q, alpha, plan.w, plan.M)
+    except BoundaryError:
+        F_alpha = None
+    conditions = []
+    alpha_one = abs(alpha - 1.0) < 1e-12
+    if alpha > boundary:
+        regime = "weaker"
+        conditions.append(("decay:Theta*n^(1/q-1/2)*log(pn)^(3/2)",
+                           Theta * n ** (1.0 / q - 0.5) * lpn ** 1.5, 1.0))
+        conditions.append(("balance:max(L1,L2)*max(W1,W2)<min(N1,N2)",
+                           max(L1, L2) * max(W1, W2), min(N1, N2)))
+        if alpha_one:
+            conditions.append(("alpha=1:max(W1,W2)<n/(L2*log n)",
+                               max(W1, W2), n / (L2 * math.log(n))))
+    else:
+        regime = "stronger"
+        conditions.append(("decay:Theta*sqrt(log p)<n^alpha", Theta * lp ** 0.5, n ** alpha))
+        conditions.append(("balance:L2*max(W1,W2,W3)<min(N2,N3)",
+                           L2 * max(W1, W2, W3), min(N2, N3)))
+    L3 = N4 = W4 = ultra_c = None
+    if nu is not None:
+        regime = "sub-exponential"
+        beta = 2.0 / (1.0 + 2.0 * nu)
+        L3 = (lp ** (1.0 / beta + 0.5) * profile.Phi) ** (1.0 / alpha)
+        N4 = n * lp ** (-1.0 - 2.0 / beta) * profile.Phi_0 ** (-2.0)
+        W4 = lpn ** (3.0 + 2.0 / beta) * profile.Phi_0 ** 2 + lpn ** 4
+        conditions.append(("subexp:max(L2,L3)*max(W1,W4)<N4", max(L2, L3) * max(W1, W4), N4))
+        conditions.append(("subexp:L2^alpha*max(W1,W4)<n", L2 ** alpha * max(W1, W4), float(n)))
+        if alpha_one:
+            conditions.append(("alpha=1:max(W1,W4)<n/(L2*log n)",
+                               max(W1, W4), n / (L2 * math.log(n))))
+        ultra_c = ultra_high_dim_exponent(alpha, beta)
+    terms = dict(L1=L1, L2=L2, L3=L3, W1=W1, W2=W2, W3=W3, W4=W4, N1=N1, N2=N2, N3=N3, N4=N4)
+    values = [v for v in terms.values() if v is not None]
+    if not all(math.isfinite(v) for v in values + [s for c in conditions for s in c[1:]]):
+        raise OverflowError("a condition value is not finite")
+    return regime, terms, conditions, F_alpha, ultra_c
+
+
+def _close(got, want):
+    # values below the normal range carry only a few bits either way
+    return math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-300)
+
+
+_LOG_NORM = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=st.floats(2.0, 200.0), alpha=st.floats(0.05, 3.0) | st.just(1.0),
+       n=st.integers(10, 10 ** 7), log_p=st.floats(math.log10(2.0), 6.0),
+       nu=st.sampled_from([None, 0.5, 1.0, 3.0]),
+       logs=st.lists(_LOG_NORM, min_size=7, max_size=7))
+def test_log_space_conditions_match_the_linear_formulas(q, alpha, n, log_p, nu, logs):
+    # away from the regime boundary, where 1/(alpha - 1/2 + 1/q) would
+    # magnify the rounding of either form past the tolerance
+    assume(abs(alpha - (0.5 - 1.0 / q)) > 0.01)
+    # a subnormal Theta^q would leave the reference's N1 with a few bits
+    assume(not -330.0 < q * logs[0] < -300.0)
+    theta, psi_2a, psi_20, psi_30, psi_40, phi, phi_0 = (10.0 ** v for v in logs)
+    p = 10.0 ** log_p
+    prof = DependenceProfile(
+        q=q, alpha=alpha, p=2, Psi=1.0, Upsilon=1.0, sup_norm=1.0, Theta=theta,
+        Phi=phi, Phi_0=phi_0, aux=AuxNorms(psi_2_0=psi_20, psi_2_a=psi_2a,
+                                            psi_3_0=psi_30, psi_4_0=psi_40))
+    try:
+        regime, terms, conditions, F_alpha, ultra_c = _linear_conditions(prof, n, p, nu)
+    except (OverflowError, ZeroDivisionError):
+        # the reference left the float range: the checker reports or refuses
+        # with NumericalError (or f_alpha_factor's OverflowError for F_alpha)
+        with contextlib.suppress(NumericalError, OverflowError):
+            ga_condition_check(prof, n, p, nu)
+        return
+    rep = ga_condition_check(prof, n, p, nu)
+    assert (rep.regime, rep.F_alpha) == (regime, F_alpha)
+    assert rep.ultra_c == pytest.approx(ultra_c, rel=1e-12)
+    for name, want in terms.items():
+        got = getattr(rep, name)
+        assert (got is None) == (want is None), name
+        assert want is None or _close(got, want), (name, got, want)
+    assert [c.name for c in rep.conditions] == [name for name, _, _ in conditions]
+    for c, (name, lhs, rhs) in zip(rep.conditions, conditions):
+        assert _close(c.lhs, lhs) and _close(c.rhs, rhs), (name, c, lhs, rhs)
+        if rhs > 0.0 and not math.isclose(lhs / rhs, 1.0, rel_tol=1e-9):
+            assert c.satisfied == (lhs / rhs < 1.0), (name, c, lhs, rhs)
+            assert _close(c.ratio, lhs / rhs), (name, c.ratio, lhs / rhs)
+
+
+def test_a_condition_whose_sides_both_underflow_keeps_its_verdict():
+    # no profile reaches this through ga_condition_check without some other
+    # term leaving the float range, so the condition is built from its logs
+    below = ConditionValue.from_logs("below", -800.0, -760.0)
+    above = ConditionValue.from_logs("above", -760.0, -800.0)
+    assert (below.lhs, below.rhs, above.lhs, above.rhs) == (0.0, 0.0, 0.0, 0.0)
+    assert below.satisfied and not above.satisfied
+    assert below.ratio == pytest.approx(math.exp(-40.0))
+    assert above.ratio == pytest.approx(math.exp(40.0))
+    with pytest.raises(NumericalError, match="beyond the float range"):
+        ConditionValue.from_logs("beyond", 710.0, 0.0)
 
 
 def test_condition_boundary_and_regimes():

@@ -4,7 +4,9 @@ a change keeps every output byte.
 
 Runs, in process and into a temporary directory, at --threads 1 and 2:
 `simulate` (a linear and a threshold-AR panel), `estimate`, `ci`,
-`covtest` with and without `--null`, `check-conditions --out`, and
+`covtest` with and without `--null`, `check-conditions --out` (also at
+q = 400 on an iid p = 5 config, whose condition terms lie beyond the
+float range in linear space), and
 `experiment` for all five kinds with `--dump-ecdf` (`rate` and `ga`
 twice: at h = 0, and at h = 2, where the closed-form profile would draw
 its Monte Carlo omega and every sum passes through the cross mixer;
@@ -63,6 +65,7 @@ SEED = "11"
 CONFIGS = {
     "lin": "[process]\nfamily = linear\np = 5\nK = 20\nh = 1\nrho = 0.3\n"
            "[simulate]\nn = 240\n",
+    "iid": "[process]\nfamily = iid\np = 5\n",
     "tar": "[process]\nfamily = threshold-ar\np = 12\n[simulate]\nn = 240\n",
     "coverage": "[process]\np = 4\nK = 20\n[experiment]\nkind = coverage\nR = 200\n"
                 "B = 1000\nn = 100\np = 4\nM = 0,2\ntheta = 0.9,0.95\n",
@@ -126,7 +129,9 @@ def runs(d: Path, threads: int) -> list[list[str]]:
     out += [g + ["covtest", "--panel", str(d / "lin.bin"), "--B", "1000",
                  "--null", str(d / "null.csv"), "--out", str(d / "lin-ctnull")],
             g + ["check-conditions", "--config", cfg["lin"], "--n", "4096",
-                 "--out", str(d / "cc.json")]]
+                 "--out", str(d / "cc.json")],
+            g + ["check-conditions", "--config", cfg["iid"], "--q", "400", "--n", "1000",
+                 "--out", str(d / "cc-q400.json")]]
     for kind in ("coverage", "coverage-tar", "ga", "ga-h2", "ga-tar", "rate", "rate-h2", "mdep",
                  "counterexample"):
         out.append(g + ["experiment", "--config", cfg[kind],
