@@ -370,7 +370,7 @@ def cmd_check_conditions(args) -> int:
                        [(out, io.write_json, report)], args.config)
         print(f"wrote {out}")
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(io.json_text(report))
     return 0
 
 

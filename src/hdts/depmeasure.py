@@ -650,6 +650,8 @@ def ga_condition_check(profile: DependenceProfile, n: int,
         F_alpha = f_alpha_factor(q, alpha, plan.w, plan.M)
     except BoundaryError:
         F_alpha = None
+    except OverflowError:
+        raise NumericalError("F_alpha lies beyond the float range") from None
     return GAConditionReport(
         n=n, p=p, q=q, alpha=alpha, nu=nu, regime=regime, **terms, F_alpha=F_alpha,
         conditions=conditions, ultra_c=ultra_c, alpha_one_flag=alpha_one)

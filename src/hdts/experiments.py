@@ -4,18 +4,18 @@ estimator rates, m-dependence decay, and the heavy-tail failure regime.
 Every kind runs its replications through one driver, `_replicate`, which
 times each cell (`runtimes` on every result).  It makes one run_indexed
 call per cell and one replication call per index; run_indexed hands each
-thread runs of consecutive replications, and a kind may ask once per run
-for inputs those replications share.  `coverage`, and `ga` on threshold-AR,
-do so: a run's panels come from one model.simulate_many call, which steps
-threshold-AR paths in stacks within model.STACK_BYTES, and `coverage`
-hands them to one gboot.simultaneous_cis call, which builds one long-run
-estimate for the whole run (a longrun.LongRunEstimate with a run axis) and
-the run's bootstrap factors as one stack, and draws each replication's
-multipliers when its report is taken.  Cell streams are
-derived with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`;
-replication r of the single-cell kinds derives `ga-panel` or `mdep-panel`.
-Reports are bit-reproducible for a fixed configuration whatever the thread
-count.
+thread runs of consecutive replications, and every kind asks once per
+run for its inputs over the run's streams: sums from model.column_sums
+(`ga`, `counterexample`), panels from model.simulate_many (`rate`,
+`coverage`), both stepping threshold-AR paths in stacks, or `mdep`'s gaps
+S_n - S_{n,m}.  `coverage` hands its panels to one gboot.simultaneous_cis
+call, which builds one long-run estimate for the whole run (a
+longrun.LongRunEstimate with a run axis) and the run's bootstrap factors
+as one stack, and draws each replication's multipliers when its report
+is taken.  Cell streams are derived with the tags `coverage-cell`,
+`rate-cell` and `ctrex-cell`; replication r of the single-cell kinds
+derives `ga-panel` or `mdep-panel`.  Reports are bit-reproducible for a
+fixed configuration whatever the thread count.
 """
 
 from __future__ import annotations
@@ -74,43 +74,37 @@ def ks_permutation_pvalue(x, y, n_perm: int, rng: RngContract) -> float:
 # Replication driver
 # ---------------------------------------------------------------------------
 
-def _replicate(cells, one_rep, R: int, threads: int,
-               inputs=None) -> tuple[list[list], list[float]]:
+def _replicate(cells, one_rep, R: int, threads: int, inputs) -> tuple[list[list], list[float]]:
     """Outputs and seconds per cell: one run_indexed call per cell, with one
-    call of one_rep(cell, r) per replication r < R, timed with
+    call of one_rep(cell, r, item) per replication r < R, timed with
     perf_counter.  run_indexed is looked up in this module's globals on
     every call, so a wrapper put there sees it.
 
-    With inputs, the replications of a run (RUN consecutive ones on one
-    thread) share work: the first asks inputs(cell, range(r, end of run))
-    once for an iterator, and replication r calls one_rep(cell, r, its
-    item).  A replication out of run order starts a new iterator, so the
-    outputs never depend on the order of the calls.
+    The replications of a run (RUN consecutive ones on one thread) share
+    one model call: the first asks inputs(cell, range(r, end of run)) once
+    for an iterator, and replication r takes the next item from it.  A
+    replication out of run order starts a new iterator, so the outputs
+    never depend on the order of the calls.
     """
     outputs, runtimes = [], []
     for cell in cells:
+        live = {}                # run start -> (next replication, its inputs)
+
+        def rep(r: int):
+            start = r - r % RUN
+            stop = min(start + RUN, R)
+            expected, it = live.pop(start, (None, None))
+            if expected != r:
+                it = iter(inputs(cell, range(r, stop)))
+            item = next(it)
+            if r + 1 < stop:     # handed back only once this call is done with it
+                live[start] = (r + 1, it)
+            return one_rep(cell, r, item)
+
         t0 = time.perf_counter()
-        outputs.append(run_indexed(_per_replication(cell, one_rep, R, inputs), R, threads))
+        outputs.append(run_indexed(rep, R, threads))
         runtimes.append(time.perf_counter() - t0)
     return outputs, runtimes
-
-
-def _per_replication(cell, one_rep, R: int, inputs):
-    if inputs is None:
-        return lambda r: one_rep(cell, r)
-    live = {}                    # run start -> (next replication, its inputs)
-
-    def rep(r: int):
-        start = r - r % RUN
-        stop = min(start + RUN, R)
-        expected, it = live.pop(start, (None, None))
-        if expected != r:
-            it = iter(inputs(cell, range(r, stop)))
-        item = next(it)
-        if r + 1 < stop:         # handed back only once this call is done with it
-            live[start] = (r + 1, it)
-        return one_rep(cell, r, item)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +144,9 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
 
     One sample holds R replications of |D0^{-1} S_n|_inf / sqrt(n), where
     S_n is the column-sum vector; the other holds R draws of
-    |D0^{-1} Z|_inf with Z ~ N(0, Sigma).  For iid/linear specs S_n comes
-    from the lag-sum weights applied to the innovations (model.column_sums),
-    so no panel is built, and Sigma from the closed form; other families
-    sum a simulated panel and must pass an (approximate) sigma, e.g. from
+    |D0^{-1} Z|_inf with Z ~ N(0, Sigma).  Each run's S_n come from one
+    model.column_sums call.  For iid/linear specs Sigma defaults to the
+    closed form; other families must pass an (approximate) sigma, e.g. from
     mc_long_run_sigma.  n_perm = 0 skips the permutation test.
     """
     if R < 1:
@@ -167,10 +160,7 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
         raise ValidationError("Sigma has a degenerate diagonal")
 
     def sums(cell: RngContract, rs: range):
-        streams = [cell.derive("ga-panel", r) for r in rs]
-        if spec.family == "threshold-ar":   # stacked panels, summed as column_sums sums one
-            return (panel.data.sum(axis=0) for panel in simulate_many(spec, n, streams))
-        return (column_sums(spec, n, s) for s in streams)
+        return column_sums(spec, n, [cell.derive("ga-panel", r) for r in rs])
 
     def one_rep(cell: RngContract, r: int, s: np.ndarray) -> float:
         return float(np.max(np.abs(s) / d0) / math.sqrt(n))
@@ -290,13 +280,14 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
     cells = [(plan_blocks(n, M_rule(n) if M_rule is not None else None),
               rng.derive("rate-cell", gi)) for gi, n in enumerate(n_grid)]
 
-    def one_rep(cell, r: int) -> float:
-        plan, stream = cell
-        panel = simulate(spec, plan.n, stream.derive("rate-panel", r))
-        return float(np.max(np.abs(sigma_tilde(panel, plan).sigma - sigma)))
+    def panels(cell, rs: range):
+        return simulate_many(spec, cell[0].n, [cell[1].derive("rate-panel", r) for r in rs])
+
+    def one_rep(cell, r: int, panel) -> float:
+        return float(np.max(np.abs(sigma_tilde(panel, cell[0]).sigma - sigma)))
 
     rn = np.array([theoretical_rate(profile, plan.n, plan.M).r_n for plan, _ in cells])
-    outputs, runtimes = _replicate(cells, one_rep, R, threads)
+    outputs, runtimes = _replicate(cells, one_rep, R, threads, panels)
     med = np.array([np.median(errs) for errs in outputs])
     rows = [{"n": n, "M": plan.M, "median_err": med[gi], "r_n": rn[gi], "R": R}
             for gi, (n, (plan, _)) in enumerate(zip(n_grid, cells))]
@@ -367,19 +358,22 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
         / math.sqrt(n)
     W = np.stack([lag_sum_weights(spec, n, m + 1) for m in m_grid])   # (|grid|, n+K)
 
-    def one_rep(cell: RngContract, r: int) -> np.ndarray:
-        eps = _draw_innovations(spec, n, cell.derive("mdep-panel", r))
-        return _lag_sums(spec, eps, W, n)[0]
+    def gaps(cell: RngContract, rs: range):
+        return (_lag_sums(spec, _draw_innovations(spec, n, cell.derive("mdep-panel", r)), W, n)[0]
+                for r in rs)
 
-    (out,), runtimes = _replicate([rng], one_rep, R, threads)
-    diffs = np.stack(out)                                     # (R, |grid|, p)
-    mom = np.mean(np.abs(diffs) ** q, axis=0)
-    norms = mom ** (1.0 / q) / math.sqrt(n)
-    # delta-method SE of the q-th root of the moment, per (m, j)
-    mom_se = np.std(np.abs(diffs) ** q, axis=0, ddof=1) / math.sqrt(R)
-    norm_se = np.zeros_like(mom)
-    pos = mom > 0
-    norm_se[pos] = mom[pos] ** (1.0 / q - 1.0) / q * mom_se[pos] / math.sqrt(n)
+    (out,), runtimes = _replicate([rng], lambda cell, r, d: d, R, threads, gaps)
+    absdiff = np.abs(np.stack(out))                           # (R, |grid|, p)
+    # moments relative to each column's maximum, so that no power overflows
+    # where the norms are finite (as depmeasure._power_mean_roots takes them)
+    top = np.max(absdiff, axis=0)
+    rel = (absdiff / np.where(top > 0.0, top, 1.0)) ** q
+    mom = np.mean(rel, axis=0)                    # >= 1/R wherever top > 0
+    norms = top * mom ** (1.0 / q) / math.sqrt(n)
+    # delta-method SE of the q-th root of the moment, per (m, j): the root
+    # times the moment's relative SE, over q; 0 where every gap is 0
+    rel_se = np.std(rel, axis=0, ddof=1) / np.where(mom > 0.0, mom, 1.0) / math.sqrt(R)
+    norm_se = norms * rel_se / q
 
     j_star = np.argmax(norms, axis=1)
     mc = norms[np.arange(len(m_grid)), j_star]
@@ -426,13 +420,14 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
     cells = [(ProcessSpec("iid", p=p, innovation=law), math.sqrt(2.0 * math.log(p)),
               rng.derive("ctrex-cell", pi)) for pi, p in enumerate(p_grid)]
 
-    def one_rep(cell, r: int):
-        spec, u, stream = cell
-        s = column_sums(spec, n, stream.derive("ctrex-panel", r))
-        stats = np.abs(s) / math.sqrt(n)
-        return float(np.max(stats)), int(np.sum(stats >= u))
+    def sums(cell, rs: range):
+        return column_sums(cell[0], n, [cell[2].derive("ctrex-panel", r) for r in rs])
 
-    outputs, runtimes = _replicate(cells, one_rep, R, threads)
+    def one_rep(cell, r: int, s: np.ndarray):
+        stats = np.abs(s) / math.sqrt(n)
+        return float(np.max(stats)), int(np.sum(stats >= cell[1]))
+
+    outputs, runtimes = _replicate(cells, one_rep, R, threads, sums)
     rows = []
     samples = {}
     for pi, (p, (_, u, _), out) in enumerate(zip(p_grid, cells, outputs)):

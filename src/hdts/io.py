@@ -9,12 +9,14 @@ column gets one field of a per-row line template, chosen by the types of
 its cells: ``{:.17g}`` (%.17g) when every cell is a float, so that
 round-trips and reruns are byte-identical, ``{}`` (the same as ``str``)
 when none is; a column that mixes the two is formatted cell by cell the
-same way, and a repeated value is formatted once.
+same way, and a repeated value is formatted once.  Every JSON file, and
+the report check-conditions prints, is strict JSON from ``json_text``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -203,10 +205,30 @@ def write_rows_csv(path, columns: dict) -> None:
         f.write(text)
 
 
+def json_text(obj) -> str:
+    """obj as strict JSON text (RFC 8259), indented, keys sorted, ending in a
+    newline.  A float that is not finite is written as null; only then is
+    obj encoded twice."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True)
+    return text + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json_text(obj))
 
 
 def read_json(path):

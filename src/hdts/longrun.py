@@ -4,7 +4,7 @@ associated theoretical targets and convergence rates.
 The sample is cut into w = floor(n/M) non-overlapping blocks of length M
 (trailing observations are dropped and reported); the estimator averages
 outer products of block sums.  One type, LongRunEstimate, holds the block
-sums of one panel or of a run of same-shape panels (indexed per panel);
+sums of one panel or of a run of same-shape panels (a leading run axis);
 the centred estimate of either comes from LongRunEstimate.centred, which
 sigma_tilde, the run path of gboot.simultaneous_cis and covinf's product
 process share.
@@ -58,8 +58,8 @@ def default_block_length(n: int) -> int:
 class LongRunEstimate:
     """Symmetric PSD estimate of the long-run covariance matrix, kept as the
     block sums Y it is built from: (w, p) for one panel, or (S, w, p) for a
-    run of S same-shape panels at one plan, whose est[s] is panel s's
-    estimate, bit for bit the one built from that panel alone.
+    run of S same-shape panels at one plan, whose block_sums[s] and
+    abs_max[s] are bit for bit those of panel s alone.
 
     abs_max, (p,) or (S, p), bounds each column of the data summed.  The
     diagonal is computed on building, and sigma = Y^T Y / (M w) is formed
@@ -85,10 +85,6 @@ class LongRunEstimate:
         with np.errstate(over="ignore", invalid="ignore"):
             centred = block_sums - block_sums.mean(axis=-2, keepdims=True)
         return cls(plan=plan, block_sums=centred, abs_max=abs_max)
-
-    def __getitem__(self, s: int) -> "LongRunEstimate":
-        return LongRunEstimate(plan=self.plan, block_sums=self.block_sums[s],
-                               abs_max=self.abs_max[s])
 
     def check_finite(self) -> None:
         """Raise NumericalError unless the diagonal of every panel is finite."""
@@ -227,22 +223,36 @@ def v_of_M(alpha: float, M: float) -> float:
     raise BoundaryError(f"bias factor undefined for alpha = {alpha}")
 
 
-def f_alpha_factor(q: float, alpha: float, w: int, M: int) -> float:
-    """Block-count factor of the polynomial tail bound, by dependence regime."""
+def _f_alpha_exponents(q: float, alpha: float) -> tuple[float, float]:
+    """(a, b) with F_alpha = w^a M^b, the block-count factor of the
+    polynomial tail bound, by dependence regime."""
     hi, lo = 1.0 - 2.0 / q, 0.5 - 2.0 / q
     if alpha in (hi, lo):
         raise BoundaryError(f"alpha = {alpha} sits on an F-factor regime boundary")
     if alpha > hi:
-        return float(w * M)
-    if alpha > lo:
-        return float(w * M ** (q / 2.0 - alpha * q / 2.0))
-    return float(w ** (q / 4.0 - alpha * q / 2.0) * M ** (q / 2.0 - alpha * q / 2.0))
+        return 1.0, 1.0
+    b = q / 2.0 - alpha * q / 2.0
+    return (1.0, b) if alpha > lo else (q / 4.0 - alpha * q / 2.0, b)
+
+
+def f_alpha_factor(q: float, alpha: float, w: int, M: int) -> float:
+    """F_alpha = w^a M^b in Python powers, which raise OverflowError beyond
+    the float range (at large q and small alpha); log_f_alpha_factor holds
+    there."""
+    a, b = _f_alpha_exponents(q, alpha)
+    return float(w ** a * M ** b)
+
+
+def log_f_alpha_factor(q: float, alpha: float, w: int, M: int) -> float:
+    """log F_alpha = a log w + b log M, finite for every q."""
+    a, b = _f_alpha_exponents(q, alpha)
+    return a * math.log(w) + b * math.log(M)
 
 
 @dataclass
 class RateInfo:
     r_n: float
-    F_alpha: float | None
+    F_alpha: float | None        # inf where F_alpha lies beyond the float range
     n: int
     M: int
     w: int
@@ -279,9 +289,11 @@ def theoretical_rate(profile, n: int, M: int | None = None,
 
     if aux.psi_4_a is None:
         raise ValidationError("profile lacks Psi_{4,alpha}")
-    F = f_alpha_factor(q, alpha, w, M)
+    log_F = log_f_alpha_factor(q, alpha, w, M)
+    with np.errstate(over="ignore"):
+        F = float(np.exp(log_F))            # inf beyond the float range
     var_term = max(
-        p ** (2.0 / q) * F ** (2.0 / q) * profile.Upsilon ** 2,
+        p ** (2.0 / q) * math.exp(2.0 / q * log_F) * profile.Upsilon ** 2,
         math.sqrt(w) * M * aux.psi_4_a ** 2 * math.sqrt(math.log(p)),
         math.sqrt(w) * M * profile.Psi ** 2,
     ) / n

@@ -637,20 +637,22 @@ def lag_sum_weights(spec: ProcessSpec, n: int, first_lag: int) -> np.ndarray:
     return _read_only(np.where(hi > lo, ts[lo] - ts[hi], 0.0))
 
 
-def column_sums(spec: ProcessSpec, n: int, rng: RngContract) -> np.ndarray:
-    """S_n, the column sums of the panel simulate(spec, n, rng) would draw,
-    from the same innovation stream.
-
-    For iid and linear specs the sum is the lag-sum weights applied to the
-    innovations, so no panel is built; it agrees with the panel's sum to
-    rounding.  threshold-ar has no weight form and sums the simulated panel.
-    """
+def column_sums(spec: ProcessSpec, n: int, streams):
+    """S_n for s in streams, in order, as an iterator: the column sums of the
+    panel simulate(spec, n, s) would draw.  For iid and linear specs each is
+    the lag-sum weights applied to the innovations, so no panel is built;
+    it agrees with the panel's sum to rounding.  threshold-ar has no weight
+    form and sums the panels of simulate_many, bit for bit."""
     if n < 1:
         raise ValidationError(f"panel length n must be >= 1, got {n}")
     if spec.family == "threshold-ar":
-        return simulate(spec, n, rng).data.sum(axis=0)
-    s = _lag_sums(spec, _draw_innovations(spec, n, rng), lag_sum_weights(spec, n, 0), n)[0]
+        return (panel.data.sum(axis=0) for panel in simulate_many(spec, n, streams))
+    weights = lag_sum_weights(spec, n, 0)
+    return (_finite_sums(_lag_sums(spec, _draw_innovations(spec, n, s), weights, n)[0])
+            for s in streams)
+
+
+def _finite_sums(s: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise NumericalError("column sums contain non-finite values")
     return s
-

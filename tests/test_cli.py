@@ -973,6 +973,57 @@ def test_check_conditions_past_the_direct_upsilon_overflow_reports(tmp_path, cap
     assert [c["satisfied"] for c in report["conditions"]] == [False, False]
 
 
+def _strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, as RFC 8259 parsers do."""
+    def refuse(token):
+        raise AssertionError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_check_conditions_writes_an_infinite_ratio_as_null(tmp_path, capsys, to_file):
+    # at q = 1e6 the balance condition's right side min(N1, N2) underflows
+    # to 0.0 while its left side does not, so its ratio is inf
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 5\n")
+    out = tmp_path / "cc.json"
+    rc = main(["check-conditions", "--config", str(cfg), "--q", "1e6", "--n", "1000"]
+              + (["--out", str(out)] if to_file else []))
+    text = out.read_text() if to_file else capsys.readouterr().out
+    assert rc == 0
+    report = _strict_json(text)
+    assert report["N1"] == 0.0
+    assert [c["ratio"] is None for c in report["conditions"]] == [False, True]
+
+
+def test_mdep_meta_writes_an_undefined_slope_as_null(tmp_path):
+    # every gap of an iid spec is exactly 0, so the fitted slope is NaN
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 3\n[experiment]\nkind = mdep\nR = 4\n"
+                   "n = 64\nm_grid = 2,4,8\n")
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "e")]) == 0
+    meta = _strict_json((tmp_path / "e" / "report.meta.json").read_text())
+    assert meta["meta"]["slope"] is None
+
+
+def test_json_text_is_json_dumps_when_every_float_is_finite():
+    obj = {"b": [1.5, np.float64(1 / 3), (2, "x")], "a": {"c": None, "d": True}}
+    assert io.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    bad = {"b": [float("nan"), (np.float64("-inf"), 1.0)], "a": {"c": float("inf")}}
+    assert _strict_json(io.json_text(bad)) == {"a": {"c": None}, "b": [None, [None, 1.0]]}
+
+
+def test_check_conditions_names_an_f_alpha_beyond_the_float_range(tmp_path, capsys):
+    # F_alpha = w^150 M^400 = 10^700 at q = 1000, alpha = 0.2, n = 1000
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 5\n")
+    rc = main(["check-conditions", "--config", str(cfg), "--q", "1000", "--alpha", "0.2",
+               "--n", "1000"])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (3, "numerical")
+    assert "F_alpha" in body["error"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_1_exit_2(tmp_path, capsys, threads):
     cfg = tmp_path / "cfg.ini"

@@ -470,6 +470,14 @@ def test_condition_check_uses_default_block_length():
     assert rep.F_alpha == f_alpha_factor(q, alpha, 100, 10)
 
 
+def test_condition_report_names_an_f_alpha_beyond_the_float_range():
+    # F_alpha = 100^150 10^400 at q = 1000, alpha = 0.2, n = 1000, while
+    # every condition term of this profile lies within the float range
+    prof = closed_form_profile(ProcessSpec("iid", p=5), 1000.0, 0.2)
+    with pytest.raises(NumericalError, match="F_alpha lies beyond the float range"):
+        ga_condition_check(prof, n=1000)
+
+
 def test_condition_missing_pieces_raise():
     bare = DependenceProfile(q=8.0, alpha=1.0, p=10, Psi=1.0, Upsilon=1.0,
                              sup_norm=1.0, Theta=1.0)

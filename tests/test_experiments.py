@@ -252,8 +252,9 @@ def test_ga_distance_on_threshold_ar_sums_each_panel():
     from hdts.model import column_sums
     n, rng = 60, RNG.derive("tar-ga")
     res = ga_distance(_TAR, n, 40, rng, sigma=np.eye(3), n_perm=0, threads=2)
-    ref = [np.max(np.abs(column_sums(_TAR, n, rng.derive("ga-panel", r)))) / math.sqrt(n)
-           for r in range(40)]
+    # each sum drawn alone, against the run's stacked panels
+    ref = [np.max(np.abs(next(column_sums(_TAR, n, [rng.derive("ga-panel", r)]))))
+           / math.sqrt(n) for r in range(40)]
     assert res.sample_stats.tolist() == ref
 
 
@@ -371,6 +372,33 @@ def test_mdep_module_example_alpha_one():
     assert res.slope == pytest.approx(-1.0, abs=0.15)
 
 
+@pytest.mark.parametrize("q", [200.0, 400.0, 1000.0])
+def test_mdep_norms_stay_finite_at_high_moment_orders(q):
+    # |gap|^q overflows near q = 200 (its square in the SE) and from about
+    # q = 400 itself; moments relative to each column's largest gap do not
+    res = mdep_rate_check(ProcessSpec("linear", p=3, K=20), q, 1.0, [2, 4, 8], 50,
+                          RNG.derive("mdep-high-q"), n=256)
+    assert np.all(np.isfinite(res.mc_norm)) and np.all(np.isfinite(res.mc_se))
+    assert np.all(res.mc_norm > 0) and math.isfinite(res.slope)
+
+
+@pytest.mark.parametrize("q", [2.0, 8.0])
+def test_mdep_relative_moments_match_the_direct_power_mean(q):
+    from hdts.model import _draw_innovations, _lag_sums, lag_sum_weights
+    spec, n, R, grid = ProcessSpec("linear", p=3, K=20, h=1, rho=0.4), 256, 50, [2, 4, 8]
+    rng = RNG.derive("mdep-direct")
+    res = mdep_rate_check(spec, q, 1.0, grid, R, rng, n=n)
+    W = np.stack([lag_sum_weights(spec, n, m + 1) for m in grid])
+    eps = [_draw_innovations(spec, n, rng.derive("mdep-panel", r)) for r in range(R)]
+    gaps = np.abs(np.stack([_lag_sums(spec, e, W, n)[0] for e in eps]))
+    mom = np.mean(gaps ** q, axis=0)
+    norms = mom ** (1.0 / q) / math.sqrt(n)
+    se = mom ** (1.0 / q - 1.0) / q * np.std(gaps ** q, axis=0, ddof=1) / math.sqrt(R * n)
+    j = (np.arange(len(grid)), np.argmax(norms, axis=1))
+    np.testing.assert_allclose(res.mc_norm, norms[j], rtol=1e-12)
+    np.testing.assert_allclose(res.mc_se, se[j], rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # heavy-tail failure demo
 # ---------------------------------------------------------------------------
@@ -402,11 +430,11 @@ def test_counterexample_guards_and_diagnostics():
 
 
 @pytest.mark.parametrize("run, drawer", [
-    (lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 2, rng),
-     "simulate"),
-    (lambda rng: counterexample_demo(4.0, 16, [2, 4], 2, rng), "column_sums"),
-    # coverage draws each run's panels with one simulate_many call, and its
+    # each kind draws a run's inputs with one call over its streams, and its
     # R covers replication 10**6, the first (and only) one of the last run
+    (lambda rng: rate_experiment(ProcessSpec("iid", p=2), [16, 32, 64], 10 ** 6 + 1, rng),
+     "simulate_many"),
+    (lambda rng: counterexample_demo(4.0, 16, [2, 4], 10 ** 6 + 1, rng), "column_sums"),
     (lambda rng: coverage_experiment(ExperimentConfig(
         spec=ProcessSpec("iid", p=2), R=10 ** 6 + 1, B=1000, base_seed=71,
         n_list=[40], theta_list=[0.9, 0.95])), "simulate_many"),
@@ -414,12 +442,11 @@ def test_counterexample_guards_and_diagnostics():
 def test_replication_streams_are_distinct_across_cells(monkeypatch, run, drawer):
     import hdts.experiments as ex
     draw, seen = getattr(ex, drawer), []
-    many = drawer == "simulate_many"
 
-    def recording_draw(spec, n, rng):
-        streams = list(rng) if many else [rng]
+    def recording_draw(spec, n, streams):
+        streams = list(streams)
         seen.extend(s.stream_id for s in streams)
-        return draw(spec, n, streams if many else rng)
+        return draw(spec, n, streams)
 
     monkeypatch.setattr(ex, drawer, recording_draw)
     # replication 10**6 of one cell and replication 0 of the next must differ

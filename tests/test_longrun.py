@@ -128,7 +128,8 @@ def test_run_estimate_at_s_is_the_panel_estimate_bit_for_bit(n_M, p, S, huge, se
     for s in range(S):
         panel = Panel(data[s])
         for run, alone in zip(runs, (sigma_hat(panel, plan), sigma_tilde(panel, plan))):
-            got = run[s]
+            got = LongRunEstimate(plan=plan, block_sums=run.block_sums[s],
+                                  abs_max=run.abs_max[s])
             for field in ("block_sums", "diag", "abs_max", "noise_floor"):
                 assert _same_bits(getattr(got, field), getattr(alone, field)), field
             if bad and s == huge:
@@ -212,6 +213,31 @@ def test_f_alpha_branches():
         100 ** (2.0 - 0.4) * 50 ** (4.0 - 0.4))
     with pytest.raises(BoundaryError):
         f_alpha_factor(8.0, 1.0 - 2.0 / 8.0, 100, 50)
+
+
+def test_log_f_alpha_is_the_log_of_f_alpha_and_finite_beyond_it():
+    from hdts.longrun import log_f_alpha_factor
+    for alpha in (2.0, 0.5, 0.1):          # one per regime
+        assert log_f_alpha_factor(8.0, alpha, 100, 50) == pytest.approx(
+            math.log(f_alpha_factor(8.0, alpha, 100, 50)), rel=1e-14)
+    # w^150 M^400 at q = 1000, alpha = 0.2, w = 100, M = 10 is 10^700
+    with pytest.raises(OverflowError):
+        f_alpha_factor(1000.0, 0.2, 100, 10)
+    assert log_f_alpha_factor(1000.0, 0.2, 100, 10) == pytest.approx(700 * math.log(10))
+
+
+def test_theoretical_rate_is_finite_where_f_alpha_overflows():
+    # r_n needs only F_alpha^(2/q) = 10^1.4, though F_alpha = 10^700 here
+    prof = closed_form_profile(ProcessSpec("iid", p=5), 1000.0, 0.2)
+    info = theoretical_rate(prof, 1000)
+    assert (info.w, info.M, info.F_alpha) == (100, 10, math.inf)
+    w, M, n, p, aux = 100, 10, 1000, 5, prof.aux
+    want_var = max(
+        p ** 0.002 * 10 ** 1.4 * prof.Upsilon ** 2,
+        math.sqrt(w) * M * aux.psi_4_a ** 2 * math.sqrt(math.log(p)),
+        math.sqrt(w) * M * prof.Psi ** 2) / n
+    assert info.variance_term == pytest.approx(want_var, rel=1e-12)
+    assert math.isfinite(info.r_n)
 
 
 def test_theoretical_rate_composition():

@@ -416,7 +416,7 @@ def test_column_sums_match_the_simulated_panel(family, K, n, p, h, alpha, rho, t
     spec = ProcessSpec(family, p=p, innovation=law, alpha=alpha, K=K, h=h, rho=rho,
                        theta1=theta, theta2=-theta / 2, burn_in=burn_in)
     panel = simulate(spec, n, RngContract(seed))
-    s = column_sums(spec, n, RngContract(seed))
+    s, = column_sums(spec, n, [RngContract(seed)])
     assert s.shape == (p,)
     if family == "threshold-ar":
         # no weight form: the sum of the very panel, bit for bit
@@ -430,6 +430,29 @@ def test_column_sums_match_the_simulated_panel(family, K, n, p, h, alpha, rho, t
 def test_column_sums_reject_an_empty_panel(family):
     with pytest.raises(ValidationError, match="n must be >= 1, got 0"):
         column_sums(ProcessSpec(family, p=2), 0, RNG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["iid", "linear", "threshold-ar"]), n=st.integers(1, 400),
+       burn_in=st.integers(0, 400), cap=st.integers(1, 5), count=st.integers(1, 12),
+       **_TAR_SHAPES)
+@example(family="threshold-ar", n=300, burn_in=200, cap=4, count=9, theta1=0.5,
+         theta2=-0.3, p=3, law=InnovationLaw.symmetric_pareto(4.0, body="shell"),
+         seed=5)                                                         # repairs
+def test_column_sums_over_streams_equal_one_stream_calls(family, n, burn_in, cap, count,
+                                                         theta1, theta2, p, law, seed):
+    # the byte budget holds exactly cap threshold-AR paths, so the streams
+    # fill stacks of cap and, unless cap divides count, one partial stack
+    from unittest import mock
+    spec = ProcessSpec(family, p=p, innovation=law, K=burn_in // 10, h=1, rho=0.4,
+                       theta1=theta1, theta2=theta2, burn_in=burn_in)
+    streams = [RngContract(seed).derive("sums", r) for r in range(count)]
+    with mock.patch.object(model, "STACK_BYTES", cap * 8 * p * (n + burn_in)):
+        many = list(column_sums(spec, n, streams))
+    alone = [next(column_sums(spec, n, [s])) for s in streams]
+    assert len(many) == count
+    for a, b in zip(many, alone):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 @settings(max_examples=30, deadline=None)
@@ -531,15 +554,14 @@ def test_shared_coefficient_arrays_change_no_bit(family, K, n, p, h, alpha, rho,
     rng = RngContract(seed)
 
     def outputs():
-        return [column_sums(spec, n, rng.derive("sum", 0)),
-                column_sums(spec, n, rng.derive("sum", 1)),
+        return [*column_sums(spec, n, [rng.derive("sum", 0), rng.derive("sum", 1)]),
                 simulate(spec, n, rng.derive("panel")).data,
                 *(x.data for x in next(simulate_coupled(spec, n, [rng.derive("coupled")]))),
                 mdep_rate_check(spec, 2.0, 1.0, [1, 2, 3], 2, rng, n=n).mc_norm,
                 ga_distance(spec, n, 9, rng, n_perm=0).sample_stats]
 
     outputs()
-    column_sums(other, n + 1, rng)
+    list(column_sums(other, n + 1, [rng]))
     warm = outputs()
     _clear_coefficient_caches()
     cold = outputs()

@@ -22,8 +22,8 @@ stacks), of the `simulate_coupled` pair of one stream and of
 panel then copy, stepped as threshold-AR stacks of several pairs), for
 iid, linear (K, h > 0) and threshold-AR specs (Gaussian; shell-pareto,
 whose zero runs force segment repairs; and a path short enough for fewer
-than 3 segments), and the bytes of `column_sums` over 9 streams for the
-iid and linear specs.
+than 3 segments), and the bytes of `column_sums` over 9 streams (for
+threshold-AR, the sums of the stacks `simulate_many` steps).
 
 Every input (configs, the null matrix) is written as plain text here,
 not through hdts, so two versions of the package see the same bytes.
@@ -181,10 +181,8 @@ def library_digests() -> list[str]:
                                  next(simulate_coupled(spec, n, [rng.derive("coupled")]))],
             "simulate_coupled_many": (panel.data for pair in simulate_coupled(
                 spec, n, [rng.derive("coupled-many", r) for r in range(9)]) for panel in pair),
+            "column_sums": column_sums(spec, n, [rng.derive("sums", r) for r in range(9)]),
         }
-        if spec.family != "threshold-ar":
-            samplers["column_sums"] = [column_sums(spec, n, rng.derive("sums", r))
-                                       for r in range(9)]
         for name, arrays in samplers.items():
             h = hashlib.sha256()
             for a in arrays:
