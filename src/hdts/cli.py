@@ -60,7 +60,7 @@ kind = coverage
 R = 200
 B = 2000
 n = 500
-p = 20
+p =
 M = 0
 theta = 0.95
 n_grid = 512,1024,2048,4096
@@ -353,17 +353,14 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check_conditions(args) -> int:
-    if args.sub_exponential and args.nu is None:
-        raise ValidationError("--sub-exponential requires --nu")
-    nu = args.nu if args.sub_exponential else None
     if (args.profile is None) == (args.config is None):
         raise ValidationError("check-conditions needs exactly one of --profile and --config")
     if args.profile is not None:
         profile = DependenceProfile.from_json_dict(io.read_json(args.profile))
     else:
         spec = build_spec(_load_config(args.config))
-        profile = closed_form_profile(spec, args.q, args.alpha, nu=nu)
-    report = ga_condition_check(profile, args.n, p=args.p, nu=nu).to_json_dict()
+        profile = closed_form_profile(spec, args.q, args.alpha, nu=args.nu)
+    report = ga_condition_check(profile, args.n, p=args.p, nu=args.nu).to_json_dict()
     if args.out:
         out = Path(args.out)
         _write_outputs(args, "check-conditions", _beside(out, ".manifest.json"),
@@ -430,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.5)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--sub-exponential", action="store_true")
-    sp.add_argument("--nu", type=float, default=None)
+    sp.add_argument("--nu", type=float, default=None,
+                    help="psi_nu order; selects the sub-exponential check "
+                         "(default: the profile's stored nu, if any)")
     sp.add_argument("--out", default=None)
     return ap
 

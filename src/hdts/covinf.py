@@ -204,10 +204,10 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
     true iid null 640 times in 10^4, against 732 with the centred scale.
     The price is power at few blocks: tau_0^2 >= M (gamma_hat - gamma0)^2
     when the plan leaves no rows unused, so every pair statistic stays
-    below sqrt(w), and with w <= threshold^2 no null is rejected.  A given
-    null_gamma is a symmetric p x p matrix (psd_sqrt's tolerance); the
-    default null has zero off-diagonals and leaves the variances untested
-    (diagonal entries set to their sample values).
+    below sqrt(w): a test with sqrt(w) <= threshold raises ValidationError.
+    A given null_gamma is a symmetric p x p matrix (psd_sqrt's tolerance);
+    the default null has zero off-diagonals and leaves the variances
+    untested (diagonal entries set to their sample values).
     """
     p = panel.p
     if n_pairs(p) > MAX_PAIRS:
@@ -240,6 +240,10 @@ def cov_simultaneous_test(panel: Panel, theta: float, M: int | None, B: int,
         # name the degenerate columns as pairs (j, k), 1-based, as the CSV does
         pairs = [(int(js[a]) + 1, int(ks[a]) + 1) for a in exc.columns[:10]]
         raise _degenerate_error(f"pair(s) {pairs}") from None
+    if math.sqrt(plan.w) <= bq.chi:
+        raise ValidationError(f"w = {plan.w} blocks cannot reject: every pair statistic stays "
+                              f"below sqrt(w) = {math.sqrt(plan.w):.6g} <= threshold "
+                              f"{bq.chi:.6g}; use a smaller M or a longer panel")
     # Studentize with the null-centred (score-type) tau_0^2 =
     # sum_b (gram_b - M gamma_0)^2 / (M w) = diag + M (mean_b gram_b / M - gamma_0)^2,
     # the second form scaled by c = max(tau_hat, |delta|) so that a null far

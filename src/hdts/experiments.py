@@ -4,18 +4,19 @@ estimator rates, m-dependence decay, and the heavy-tail failure regime.
 Every kind runs its replications through one driver, `_replicate`, which
 times each cell (`runtimes` on every result).  It makes one run_indexed
 call per cell and one replication call per index; run_indexed hands each
-thread runs of consecutive replications, and every kind asks once per
-run for its inputs over the run's streams: sums from model.column_sums
-(`ga`, `counterexample`), panels from model.simulate_many (`rate`,
-`coverage`), both stepping threshold-AR paths in stacks, or `mdep`'s gaps
-S_n - S_{n,m}.  `coverage` hands its panels to one gboot.simultaneous_cis
-call, which builds one long-run estimate for the whole run (a
-longrun.LongRunEstimate with a run axis) and the run's bootstrap factors
-as one stack, and draws each replication's multipliers when its report
-is taken.  Cell streams are derived with the tags `coverage-cell`,
-`rate-cell` and `ctrex-cell`; replication r of the single-cell kinds
-derives `ga-panel` or `mdep-panel`.  Reports are bit-reproducible for a
-fixed configuration whatever the thread count.
+thread runs of consecutive replications, and each kind's run(cell, rs)
+makes one model call over a run's streams and yields the outputs of its
+replications in order, reduced from sums of model.column_sums (`ga`,
+`counterexample`), panels of model.simulate_many (`rate`, `coverage`),
+both stepping threshold-AR paths in stacks, or `mdep`'s gaps S_n - S_{n,m}.
+`coverage` hands its panels to one gboot.simultaneous_cis call, which
+builds one long-run estimate for the whole run (a longrun.LongRunEstimate
+with a run axis) and the run's bootstrap factors as one stack, and draws
+each replication's multipliers when its report is taken.  Cell streams
+are derived with the tags `coverage-cell`, `rate-cell` and `ctrex-cell`;
+replication r of the single-cell kinds derives `ga-panel` or
+`mdep-panel`.  Reports are bit-reproducible for a fixed configuration
+whatever the thread count.
 """
 
 from __future__ import annotations
@@ -74,32 +75,33 @@ def ks_permutation_pvalue(x, y, n_perm: int, rng: RngContract) -> float:
 # Replication driver
 # ---------------------------------------------------------------------------
 
-def _replicate(cells, one_rep, R: int, threads: int, inputs) -> tuple[list[list], list[float]]:
+def _replicate(cells, run, R: int, threads: int) -> tuple[list[list], list[float]]:
     """Outputs and seconds per cell: one run_indexed call per cell, with one
-    call of one_rep(cell, r, item) per replication r < R, timed with
-    perf_counter.  run_indexed is looked up in this module's globals on
-    every call, so a wrapper put there sees it.
+    call per replication r < R, timed with perf_counter.  run_indexed is
+    looked up in this module's globals on every call, so a wrapper put
+    there sees it.
 
     The replications of a run (RUN consecutive ones on one thread) share
-    one model call: the first asks inputs(cell, range(r, end of run)) once
-    for an iterator, and replication r takes the next item from it.  A
-    replication out of run order starts a new iterator, so the outputs
-    never depend on the order of the calls.
+    one model call: the first asks run(cell, range(r, end of run)) once for
+    an iterator of the outputs of those replications, in order, and
+    replication r takes the next output from it.  A replication out of run
+    order starts a new iterator, so the outputs never depend on the order
+    of the calls.
     """
     outputs, runtimes = [], []
     for cell in cells:
-        live = {}                # run start -> (next replication, its inputs)
+        live = {}                # run start -> (next replication, its outputs)
 
         def rep(r: int):
             start = r - r % RUN
             stop = min(start + RUN, R)
             expected, it = live.pop(start, (None, None))
             if expected != r:
-                it = iter(inputs(cell, range(r, stop)))
-            item = next(it)
+                it = iter(run(cell, range(r, stop)))
+            out = next(it)
             if r + 1 < stop:     # handed back only once this call is done with it
                 live[start] = (r + 1, it)
-            return one_rep(cell, r, item)
+            return out
 
         t0 = time.perf_counter()
         outputs.append(run_indexed(rep, R, threads))
@@ -159,13 +161,11 @@ def ga_distance(spec: ProcessSpec, n: int, R: int, rng: RngContract,
     if np.min(d0) <= 0:
         raise ValidationError("Sigma has a degenerate diagonal")
 
-    def sums(cell: RngContract, rs: range):
-        return column_sums(spec, n, [cell.derive("ga-panel", r) for r in rs])
+    def run(cell: RngContract, rs: range):
+        for s in column_sums(spec, n, [cell.derive("ga-panel", r) for r in rs]):
+            yield float(np.max(np.abs(s) / d0) / math.sqrt(n))
 
-    def one_rep(cell: RngContract, r: int, s: np.ndarray) -> float:
-        return float(np.max(np.abs(s) / d0) / math.sqrt(n))
-
-    (out,), runtimes = _replicate([rng], one_rep, R, threads, sums)
+    (out,), runtimes = _replicate([rng], run, R, threads)
     sample_stats = np.array(out)
     root = psd_sqrt(sigma)
     eta = rng.derive("ga-gauss").generator().standard_normal((R, sigma.shape[0]))
@@ -228,15 +228,14 @@ def coverage_experiment(config: ExperimentConfig) -> ExperimentReport:
     cells = [(n, replace(config.spec, p=p), M, theta, base.derive("coverage-cell", ci))
              for ci, (n, p, M, theta) in enumerate(config.cells())]
 
-    def reports(cell, rs: range):
+    def run(cell, rs: range):
         n, spec, M, theta, stream = cell
-        return simultaneous_cis(simulate_many(spec, n, [stream.derive("panel", r) for r in rs]),
-                                theta, M, config.B, [stream.derive("boot", r) for r in rs])
+        panels = simulate_many(spec, n, [stream.derive("panel", r) for r in rs])
+        for report in simultaneous_cis(panels, theta, M, config.B,
+                                       [stream.derive("boot", r) for r in rs]):
+            yield report.covers(np.zeros(spec.p)), float(np.median(report.half_widths()))
 
-    def one_rep(cell, r: int, report):
-        return report.covers(np.zeros(cell[1].p)), float(np.median(report.half_widths()))
-
-    outputs, runtimes = _replicate(cells, one_rep, config.R, config.threads, reports)
+    outputs, runtimes = _replicate(cells, run, config.R, config.threads)
     rows = []
     for (n, spec, M, theta, _), out in zip(cells, outputs):
         cov = float(np.mean([o[0] for o in out], dtype=float))
@@ -280,14 +279,13 @@ def rate_experiment(spec: ProcessSpec, n_grid, R: int, rng: RngContract,
     cells = [(plan_blocks(n, M_rule(n) if M_rule is not None else None),
               rng.derive("rate-cell", gi)) for gi, n in enumerate(n_grid)]
 
-    def panels(cell, rs: range):
-        return simulate_many(spec, cell[0].n, [cell[1].derive("rate-panel", r) for r in rs])
-
-    def one_rep(cell, r: int, panel) -> float:
-        return float(np.max(np.abs(sigma_tilde(panel, cell[0]).sigma - sigma)))
+    def run(cell, rs: range):
+        plan, stream = cell
+        for panel in simulate_many(spec, plan.n, [stream.derive("rate-panel", r) for r in rs]):
+            yield float(np.max(np.abs(sigma_tilde(panel, plan).sigma - sigma)))
 
     rn = np.array([theoretical_rate(profile, plan.n, plan.M).r_n for plan, _ in cells])
-    outputs, runtimes = _replicate(cells, one_rep, R, threads, panels)
+    outputs, runtimes = _replicate(cells, run, R, threads)
     med = np.array([np.median(errs) for errs in outputs])
     rows = [{"n": n, "M": plan.M, "median_err": med[gi], "r_n": rn[gi], "R": R}
             for gi, (n, (plan, _)) in enumerate(zip(n_grid, cells))]
@@ -358,11 +356,11 @@ def mdep_rate_check(spec: ProcessSpec, q: float, alpha: float, m_grid,
         / math.sqrt(n)
     W = np.stack([lag_sum_weights(spec, n, m + 1) for m in m_grid])   # (|grid|, n+K)
 
-    def gaps(cell: RngContract, rs: range):
+    def run(cell: RngContract, rs: range):
         return (_lag_sums(spec, _draw_innovations(spec, n, cell.derive("mdep-panel", r)), W, n)[0]
                 for r in rs)
 
-    (out,), runtimes = _replicate([rng], lambda cell, r, d: d, R, threads, gaps)
+    (out,), runtimes = _replicate([rng], run, R, threads)
     absdiff = np.abs(np.stack(out))                           # (R, |grid|, p)
     # moments relative to each column's maximum, so that no power overflows
     # where the norms are finite (as depmeasure._power_mean_roots takes them)
@@ -420,14 +418,13 @@ def counterexample_demo(tail_index: float, n: int, p_grid, R: int,
     cells = [(ProcessSpec("iid", p=p, innovation=law), math.sqrt(2.0 * math.log(p)),
               rng.derive("ctrex-cell", pi)) for pi, p in enumerate(p_grid)]
 
-    def sums(cell, rs: range):
-        return column_sums(cell[0], n, [cell[2].derive("ctrex-panel", r) for r in rs])
+    def run(cell, rs: range):
+        spec, u, stream = cell
+        for s in column_sums(spec, n, [stream.derive("ctrex-panel", r) for r in rs]):
+            stats = np.abs(s) / math.sqrt(n)
+            yield float(np.max(stats)), int(np.sum(stats >= u))
 
-    def one_rep(cell, r: int, s: np.ndarray):
-        stats = np.abs(s) / math.sqrt(n)
-        return float(np.max(stats)), int(np.sum(stats >= cell[1]))
-
-    outputs, runtimes = _replicate(cells, one_rep, R, threads, sums)
+    outputs, runtimes = _replicate(cells, run, R, threads)
     rows = []
     samples = {}
     for pi, (p, (_, u, _), out) in enumerate(zip(p_grid, cells, outputs)):

@@ -310,6 +310,21 @@ def test_covtest_cli(tmp_path):
     assert len(lines) == 1 + 15
 
 
+def test_covtest_that_cannot_reject_exits_2_naming_w(tmp_path, capsys):
+    # n = 27 at the default M = 3 leaves w = 9 blocks, and sqrt(w) = 3 lies
+    # below the threshold, so no null could be rejected: the test is refused
+    panel, null = tmp_path / "p.bin", tmp_path / "null.csv"
+    io.write_array_binary(panel, simulate(ProcessSpec("iid", p=10), 27, RngContract(3)).data)
+    io.write_matrix_csv(null, 100.0 * np.eye(10))
+    rc = main(["covtest", "--panel", str(panel), "--null", str(null),
+               "--out", str(tmp_path / "ct")])
+    body = json.loads(capsys.readouterr().err)
+    assert (rc, body["type"]) == (2, "validation")
+    assert re.match(r"w = 9 blocks cannot reject: .* sqrt\(w\) = 3 <= threshold 3\.\d",
+                    body["error"])
+    assert not list(tmp_path.glob("ct*"))
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(DEFAULT_CONFIG.replace("theta1 = 0.3", "theta1 = 1.5")
@@ -527,6 +542,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "n_gird" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("grid, ps", [("", ["3"]), ("p = 2,4\n", ["2", "4"])],
+                         ids=["process-p", "grid"])
+def test_coverage_grid_defaults_to_the_process_p(tmp_path, grid, ps):
+    cfg = tmp_path / "cov.ini"
+    cfg.write_text("[process]\nfamily = iid\np = 3\n[experiment]\nkind = coverage\n"
+                   "R = 200\nB = 1000\nn = 60\n" + grid)
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0
+    header, *rows = (tmp_path / "d" / "report.csv").read_text().splitlines()
+    assert [dict(zip(header.split(","), row.split(",")))["p"] for row in rows] == ps
+
+
 # kind -> (tiny config over the defaults, number of cells)
 _TINY_EXPERIMENTS = {
     "coverage": ("[process]\np = 4\nK = 20\n[experiment]\nkind = coverage\nR = 200\n"
@@ -586,11 +612,6 @@ def test_check_conditions_cli(tmp_path, capsys):
     rc = main(["check-conditions", "--config", cfg, "--q", "8",
                "--alpha", str(0.5 - 1.0 / 8.0), "--n", "4096"])
     assert rc == 2
-    capsys.readouterr()
-    # sub-exponential without nu errors out
-    rc = main(["check-conditions", "--config", cfg, "--n", "4096",
-               "--sub-exponential"])
-    assert rc == 2
 
 
 def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
@@ -606,6 +627,25 @@ def test_check_conditions_out_writes_a_manifest(tmp_path, capsys):
     assert man["outputs"] == {"report.json": sha256_file(out)}
     assert man["config_digest"] == sha256_file(cfg)
 
+
+@pytest.mark.parametrize("source, flags, regime", [
+    ("config", [], "weaker"), ("config", ["--nu", "1.0"], "sub-exponential"),
+    ("profile", [], "sub-exponential")], ids=["config", "config-nu", "profile-nu"])
+def test_check_conditions_nu_alone_selects_the_sub_exponential_regime(tmp_path, capsys,
+                                                                       source, flags, regime):
+    # --nu, or the nu a profile stores, selects the regime and its conditions
+    from hdts.depmeasure import closed_form_profile
+    path = tmp_path / "source"
+    if source == "config":
+        path.write_text("[process]\nfamily = iid\np = 5\n")
+    else:
+        io.write_json(path, closed_form_profile(ProcessSpec("iid", p=5), 8.0, 1.5, nu=1.0)
+                      .to_json_dict())
+    assert main(["check-conditions", f"--{source}", str(path), "--n", "4096"] + flags) == 0
+    rep = json.loads(capsys.readouterr().out)
+    sub = regime == "sub-exponential"
+    assert (rep["regime"], rep["nu"]) == (regime, 1.0 if sub else None)
+    assert any(c["name"].startswith("subexp:") for c in rep["conditions"]) == sub
 
 
 def test_check_conditions_takes_exactly_one_of_profile_and_config(tmp_path, capsys):
@@ -730,16 +770,6 @@ def test_experiment_unknown_kind_creates_no_out_dir(tmp_path):
     cfg.write_text(DEFAULT_CONFIG.replace("kind = coverage", "kind = frobnicate"))
     assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 2
     assert not (tmp_path / "d").exists()
-
-
-def test_check_conditions_requires_nu_before_building_profile(tmp_path, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise AssertionError("profile built before --nu was checked")
-    monkeypatch.setattr("hdts.cli.closed_form_profile", fail)
-    cfg = write_config(tmp_path / "cfg.ini")
-    rc = main(["check-conditions", "--config", cfg, "--n", "4096", "--sub-exponential"])
-    assert rc == 2
-    assert "--nu" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("kind", ["rate", "mdep"])
@@ -919,7 +949,7 @@ _PROFILE = {"q": 8.0, "alpha": 1.5, "p": 5, "Psi_q_alpha": 1.0, "Upsilon_q_alpha
             "Linf_norm_q_alpha": 1.0, "Theta_q_alpha": 1.0,
             "aux": {"psi_2_0": 1.0, "psi_2_a": 1.0, "psi_3_0": 1.0, "psi_4_0": 1.0}}
 _HUGE_AUX = {k: 1e308 for k in _PROFILE["aux"]}
-_SUB_EXP = ["--sub-exponential", "--nu"]
+_SUB_EXP = ["--nu"]
 _PROFILE_CASES = {
     "Theta=0": ({"Theta_q_alpha": 0.0}, [], 2),
     "psi_2=0": ({"aux": {**_PROFILE["aux"], "psi_2_0": 0.0, "psi_2_a": 0.0}}, [], 2),
@@ -1182,7 +1212,7 @@ def _invocation(draw):
         return {"cfg": draw(_config_bytes())}, [command, "--config", "{cfg}"] + out
     if command == "check-conditions":
         nu = ["--nu"] if draw(st.booleans()) else []
-        flags = _flags(draw, "--n", *nu) + ["--sub-exponential"] * bool(nu)
+        flags = _flags(draw, "--n", *nu)
         if draw(st.booleans()):
             return {"prof": draw(_profile_json())}, [command, "--profile", "{prof}"] + flags
         return ({"cfg": draw(_config_bytes())},

@@ -283,6 +283,21 @@ def test_cov_test_default_null_leaves_variances_untested():
     assert not res.reject
 
 
+def test_cov_test_refuses_a_test_that_cannot_reject():
+    # with no rows unused, tau_0^2 >= M (gamma_hat - gamma0)^2 keeps every
+    # pair statistic below sqrt(w): at w = 9 that is below the threshold, so
+    # even a null of 100 I cannot be rejected and the test is refused, while
+    # at w = 16 the same null is rejected
+    spec, null = ProcessSpec("iid", p=10), 100.0 * np.eye(10)
+    panel = simulate(spec, 27, RNG.derive("few-blocks"))
+    with pytest.raises(ValidationError,
+                       match=r"^w = 9 blocks .* sqrt\(w\) = 3 <= threshold 3\.\d+; "):
+        cov_simultaneous_test(panel, 0.95, None, 2000, RNG, null_gamma=null)
+    panel = simulate(spec, 64, RNG.derive("few-blocks"))
+    res = cov_simultaneous_test(panel, 0.95, None, 2000, RNG, null_gamma=null)
+    assert res.w == 16 and res.threshold < 4.0 and res.reject
+
+
 def test_cov_test_power_planted_correlation():
     # p = 5 iid Gaussian with one pair correlated at rho = 0.9
     gamma = np.eye(5)
@@ -332,10 +347,19 @@ def test_cov_test_permutation_equivariance(p_perm, n_M, seed):
     (p, perm), (n, M) = p_perm, n_M
     perm = np.array(perm)
     panel = Panel.from_data(RngContract(seed).derive("perm").generator().standard_normal((n, p)))
-    res = cov_simultaneous_test(panel, 0.95, M, 1000, RngContract(62), null_gamma=np.eye(p))
     permuted = Panel.from_data(panel.data[:, perm])   # column-major copy
-    res_p = cov_simultaneous_test(permuted, 0.95, M, 1000, RngContract(62),
-                                  null_gamma=np.eye(p))
+
+    def result_or_refusal(x):
+        try:
+            return cov_simultaneous_test(x, 0.95, M, 1000, RngContract(62), null_gamma=np.eye(p))
+        except ValidationError as exc:
+            return exc
+    res, res_p = result_or_refusal(panel), result_or_refusal(permuted)
+    if isinstance(res, ValidationError):
+        # few blocks, sqrt(w) <= threshold: both calls refuse alike
+        assert str(res).startswith(f"w = {n // M} blocks cannot reject")
+        assert isinstance(res_p, ValidationError) and str(res_p).startswith(f"w = {n // M} ")
+        return
     # pair (a, b) of the permuted panel is pair (perm[a], perm[b]) of the original
     js, ks = pair_indices(p)
     flat = np.empty((p, p), dtype=int)

@@ -200,9 +200,9 @@ def test_shared_run_inputs_survive_any_call_order_and_thread(monkeypatch):
     from hdts.util import RUN
     R, asked = 40 * RUN + 5, []
 
-    def inputs(cell, rs):
+    def run(cell, rs):
         asked.append(rs.start)
-        return (cell + 10 * r for r in rs)
+        return ((r, cell + 10 * r) for r in rs)
 
     def scattered(fn, count, threads=1):
         order = [i for k in range(3) for i in range(count)[k::3]][::-1]
@@ -214,7 +214,7 @@ def test_shared_run_inputs_survive_any_call_order_and_thread(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        (out,), _ = ex._replicate([7], lambda cell, r, x: (r, x), R, 8, inputs)
+        (out,), _ = ex._replicate([7], run, R, 8)
     finally:
         sys.setswitchinterval(interval)
     assert out == [(r, 7 + 10 * r) for r in range(R)]
@@ -236,10 +236,33 @@ def _tar_ga(threads):
     return res.sample_stats.tobytes(), res.ks
 
 
-@pytest.mark.parametrize("run", [_tar_coverage, _tar_ga], ids=["coverage", "ga"])
+# R = 29 leaves a short last run; rate, mdep and counterexample need their
+# own families, so they run on linear and iid specs
+_LIN = ProcessSpec("linear", p=3, K=20, h=1, rho=0.3)
+
+
+def _rate(threads):
+    return rate_experiment(_LIN, [40, 60, 90], 29, RNG.derive("order-rate"),
+                           threads=threads).rows
+
+
+def _mdep(threads):
+    return mdep_rate_check(_LIN, 4.0, 1.0, [1, 2, 4], 29, RNG.derive("order-mdep"), n=64,
+                           threads=threads).rows
+
+
+def _ctrex(threads):
+    res = counterexample_demo(4.0, 30, [4, 16], 29, RNG.derive("order-ctrex"),
+                              threads=threads)
+    return res.rows, [s.tobytes() for pair in res.samples.values() for s in pair]
+
+
+@pytest.mark.parametrize("run", [_tar_coverage, _tar_ga, _rate, _mdep, _ctrex],
+                         ids=["coverage", "ga", "rate", "mdep", "counterexample"])
 def test_threshold_ar_replications_ignore_threads_and_call_order(monkeypatch, run):
-    # stacked panels give the same results at any thread count, and as when
-    # the replications are called last to first, each then drawing its own panel
+    # stacked panels (and each kind's run generator) give the same results at
+    # any thread count, and as when the replications are called last to
+    # first, each then drawing its own panel or sums
     import hdts.experiments as ex
     ref = run(1)
     assert run(2) == ref and run(8) == ref

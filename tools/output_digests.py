@@ -6,7 +6,8 @@ Runs, in process and into a temporary directory, at --threads 1 and 2:
 `simulate` (a linear and a threshold-AR panel), `estimate`, `ci`,
 `covtest` with and without `--null`, `check-conditions --out` (also at
 q = 400 on an iid p = 5 config, whose condition terms lie beyond the
-float range in linear space), and
+float range in linear space, and with `--nu 1.0` on that config, the
+sub-exponential regime), and
 `experiment` for all five kinds with `--dump-ecdf` (`rate` and `ga`
 twice: at h = 0, and at h = 2, where the closed-form profile would draw
 its Monte Carlo omega and every sum passes through the cross mixer;
@@ -131,7 +132,9 @@ def runs(d: Path, threads: int) -> list[list[str]]:
             g + ["check-conditions", "--config", cfg["lin"], "--n", "4096",
                  "--out", str(d / "cc.json")],
             g + ["check-conditions", "--config", cfg["iid"], "--q", "400", "--n", "1000",
-                 "--out", str(d / "cc-q400.json")]]
+                 "--out", str(d / "cc-q400.json")],
+            g + ["check-conditions", "--config", cfg["iid"], "--n", "4096", "--nu", "1.0",
+                 "--out", str(d / "cc-nu.json")]]
     for kind in ("coverage", "coverage-tar", "ga", "ga-h2", "ga-tar", "rate", "rate-h2", "mdep",
                  "counterexample"):
         out.append(g + ["experiment", "--config", cfg[kind],
