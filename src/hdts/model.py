@@ -16,6 +16,12 @@ Three families are supported:
 * ``threshold-ar`` -- coordinatewise X_i = theta1*max(X_{i-1},0)
                       + theta2*min(X_{i-1},0) + eps_i, geometrically contracting
                       when |theta1| v |theta2| < 1; a burn-in prefix is discarded.
+                      Each step picks one product, max(theta1 X, theta2 X)
+                      when theta1 > theta2, min when theta1 < theta2 and
+                      theta1 X when they are equal: monotone rounding gives
+                      it the clamp form's bits, except for the sign of a
+                      zero, which only a -0.0 innovation keeps, so a stack
+                      that holds one steps the clamps.
                       One kernel computes every path: time segments that
                       step together, each checked bit for bit against its
                       predecessor's end state and re-run from the exact
@@ -440,20 +446,40 @@ def _lag_sums(spec: ProcessSpec, eps: np.ndarray, g: np.ndarray, stride: int) ->
 
 
 def _tar_steps(x: np.ndarray, eps: np.ndarray, theta1: float, theta2: float,
-               out: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
+               out: np.ndarray | None = None, lo: int = 0, clamp: bool = False) -> np.ndarray:
     """The one threshold step loop: from state x, x <- f(x) + eps[t] for every
     row t of eps, storing out[t] = x[lo:] when out is given; returns the last
     state as a new array.  x may carry any trailing shape (one path, or a
-    stack of segments).  The step runs in place, in the order of
-    theta1*max(x, 0) + theta2*min(x, 0) + eps[t], so it keeps those bits."""
+    stack of segments).
+
+    f(x) = theta1*max(x, 0) + theta2*min(x, 0) is stepped in place as one
+    pick of the two slopes' products: max(theta1 x, theta2 x) when
+    theta1 > theta2, min when theta1 < theta2, and theta1 x alone when the
+    slopes are equal, as the two products are then one number.  At x != 0
+    the clamp form rounds the one product of x with the slope on its side,
+    and rounding is monotone, so the pick returns that product's bits.
+    Where f(x) = 0 the forms can differ in the zero's sign only; adding
+    eps[t] = +0.0 or any nonzero eps[t] gives the same bits either way, and
+    a sum is -0.0 only when both terms are, so from the zero state no state
+    holds -0.0 and the forms agree step for step.  Only a -0.0 innovation
+    keeps a zero's sign: with clamp=True, for stacks that hold one, f is
+    stepped as written, in that order.  This holds on finite states; a
+    state that overflows stays non-finite under either form, and Panel
+    rejects it."""
     x = x.copy()
-    neg = np.empty_like(x)
+    pick = None if theta1 == theta2 else (np.maximum if theta1 > theta2 else np.minimum)
+    join = np.add if clamp else pick
+    y = np.empty_like(x) if join else None
     for t in range(eps.shape[0]):
-        np.minimum(x, 0.0, out=neg)
-        np.maximum(x, 0.0, out=x)
+        if clamp:
+            np.minimum(x, 0.0, out=y)
+            np.maximum(x, 0.0, out=x)
+            y *= theta2
+        elif pick:
+            np.multiply(x, theta2, out=y)
         x *= theta1
-        neg *= theta2
-        x += neg
+        if join:
+            join(x, y, out=x)
         x += eps[t]
         if out is not None:
             out[t] = x[lo:]
@@ -468,7 +494,11 @@ def _tar_paths(values, S: int, theta1: float, theta2: float, skip: int) -> np.nd
     into the stack as it arrives, so a lazy iterable holds one at a time.
     Returns the (T - skip, S, p) rows skip.. of every path, bit for bit the
     plain step-by-step loop's.  The map acts coordinatewise, so stacking
-    paths side by side changes no bit of any of them.
+    paths side by side changes no bit of any of them.  Each step picks one
+    slope's product (_tar_steps), which has the bits of the clamp form
+    unless an innovation is -0.0; one pass over the stack's innovations
+    finds a -0.0 (INT64_MIN, as int64) and then steps the whole stack with
+    the clamps.
 
     With rho = |theta1| v |theta2|, two paths of the map draw together by at
     least the factor rho per step, so L = ceil(96 / -log2 rho) steps shrink
@@ -513,11 +543,12 @@ def _tar_paths(values, S: int, theta1: float, theta2: float, skip: int) -> np.nd
         eps, (L, G, S * p), (row, L * row, col), writeable=False)  # [s, k] = row kL + s
     k0 = skip // L
     out = np.empty(((G - k0) * L, S * p))
+    clamp = eps.view(np.int64).min() == np.iinfo(np.int64).min  # a -0.0 innovation
     start = np.zeros((G, S * p))
     if G > 1:
-        start[1:] = _tar_steps(start[1:], steps[:, :-1], theta1, theta2)
+        start[1:] = _tar_steps(start[1:], steps[:, :-1], theta1, theta2, clamp=clamp)
     end = _tar_steps(start, steps, theta1, theta2,
-                     out.reshape(G - k0, L, S * p).swapaxes(0, 1), k0)
+                     out.reshape(G - k0, L, S * p).swapaxes(0, 1), k0, clamp=clamp)
     # a check can newly fail only where the segment before was repaired
     suspect = np.any(start[1:].view(np.uint64) != end[:-1].view(np.uint64), axis=1)
     repaired = False
@@ -529,7 +560,7 @@ def _tar_paths(values, S: int, theta1: float, theta2: float, skip: int) -> np.nd
         if repaired:
             fixed = np.empty((L, bad.size))
             end[k, bad] = _tar_steps(end[k - 1, bad], eps[k * L:(k + 1) * L, bad],
-                                     theta1, theta2, fixed)
+                                     theta1, theta2, fixed, clamp=clamp)
             if k >= k0:
                 out[(k - k0) * L:(k - k0 + 1) * L, bad] = fixed
     lo = skip - k0 * L

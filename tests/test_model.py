@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -173,6 +174,12 @@ _TAR_SHAPES = dict(
          law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # repairs
 @example(n=2000, burn_in=0, theta1=0.98, theta2=-0.5, p=2,
          law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=3)  # G < 3
+@example(n=1500, burn_in=100, theta1=-0.4, theta2=0.6, p=3,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # min pick, repairs
+@example(n=800, burn_in=50, theta1=0.2, theta2=0.7, p=2,
+         law=InnovationLaw.student_t(3.0), seed=4)                      # min pick
+@example(n=1500, burn_in=100, theta1=0.5, theta2=0.5, p=3,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # one slope, repairs
 def test_threshold_ar_path_matches_a_plain_step_loop(n, burn_in, theta1, theta2, p, law,
                                                      seed):
     spec = ProcessSpec("threshold-ar", p=p, innovation=law, theta1=theta1, theta2=theta2,
@@ -197,6 +204,57 @@ def test_threshold_ar_path_repairs_every_segment_after_an_impulse(theta1, theta2
         assert np.array_equal(_bits(paths[:, r]), _bits(_plain_tar_path(path, theta1, theta2)))
 
 
+# innovations at the edges of the step's rounding: signed zeros, the smallest
+# subnormal, values whose products go subnormal, and long zero runs that decay
+# a state through the subnormal range to zero
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0])
+_EDGE_SLOPES = st.sampled_from([0.0, 0.3, -0.3, 0.98, -0.98])
+
+
+def _from_runs(runs, size):
+    """size values: the (value, length) runs in turn, repeated until filled."""
+    values = itertools.chain.from_iterable(itertools.repeat(v, k)
+                                           for v, k in itertools.cycle(runs))
+    return np.fromiter(values, float, size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta1=_EDGE_SLOPES, theta2=_EDGE_SLOPES, T=st.integers(1, 800), p=st.integers(1, 3),
+       S=st.integers(1, 4), skip=st.integers(0, 800),
+       runs=st.lists(st.tuples(_EDGE_VALUES, st.integers(1, 1000)), min_size=1, max_size=8))
+@example(theta1=-0.3, theta2=0.3, T=700, p=1, S=3, skip=100,                  # G >= 3, -0.0
+         runs=[(1.0, 1), (0.0, 650), (-1.0, 1), (-0.0, 700), (-5e-324, 2), (1e-300, 3)])
+@example(theta1=0.3, theta2=-0.3, T=700, p=2, S=2, skip=0,                    # G >= 3
+         runs=[(-1.0, 1), (0.0, 900), (1e-300, 1), (0.0, 200), (5e-324, 1)])
+@example(theta1=0.98, theta2=-0.3, T=500, p=2, S=4, skip=20,                  # G < 3, -0.0
+         runs=[(-0.0, 5), (1e-300, 1), (0.0, 600), (-1.0, 1), (-0.0, 40)])
+@example(theta1=-0.98, theta2=0.0, T=300, p=3, S=1, skip=299,                 # G < 3
+         runs=[(1.0, 2), (0.0, 300), (-5e-324, 1)])
+@example(theta1=0.3, theta2=0.3, T=700, p=2, S=2, skip=50,                    # one slope
+         runs=[(1.0, 1), (0.0, 900), (-1e-300, 1), (0.0, 300), (-5e-324, 1)])
+@example(theta1=0.0, theta2=0.0, T=40, p=2, S=3, skip=0,                      # one slope, -0.0
+         runs=[(-1.0, 1), (-0.0, 3), (0.0, 2), (5e-324, 1)])
+def test_threshold_ar_kernel_matches_a_plain_step_loop_on_edge_innovations(
+        theta1, theta2, T, p, S, skip, runs):
+    # a stack that holds -0.0 must step the clamps: the pick could give a
+    # zero of the other sign there
+    from unittest import mock
+    eps = _from_runs(runs, S * T * p).reshape(S, T, p)
+    skip = min(skip, T - 1)
+    kernel, clamps = model._tar_steps, set()
+
+    def spy(*args, clamp, **kwargs):
+        clamps.add(clamp)
+        return kernel(*args, clamp=clamp, **kwargs)
+
+    with mock.patch.object(model, "_tar_steps", spy):
+        paths = model._tar_paths(iter(eps), S, theta1, theta2, skip)
+    assert clamps == {bool(np.any(np.signbit(eps) & (eps == 0.0)))}
+    for r in range(S):
+        ref = _plain_tar_path(eps[r], theta1, theta2)[skip:]
+        assert np.array_equal(_bits(paths[:, r]), _bits(ref))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 600), burn_in=st.integers(0, 1000), cap=st.integers(1, 6),
        extra=st.integers(0, 7), **_TAR_SHAPES)
@@ -208,6 +266,10 @@ def test_threshold_ar_path_repairs_every_segment_after_an_impulse(theta1, theta2
          law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # repairs
 @example(n=200, burn_in=0, cap=2, extra=1, theta1=0.98, theta2=-0.5, p=2,
          law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=3)  # G < 3
+@example(n=600, burn_in=400, cap=5, extra=2, theta1=-0.4, theta2=0.6, p=3,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # min pick, repairs
+@example(n=600, burn_in=400, cap=5, extra=2, theta1=0.5, theta2=0.5, p=3,
+         law=InnovationLaw.symmetric_pareto(4.0, body="shell"), seed=5)  # one slope, repairs
 def test_simulate_many_equals_simulate_path_by_path(n, burn_in, cap, extra, theta1, theta2,
                                                     p, law, seed):
     # the byte budget is set to hold exactly cap paths, so the streams fill

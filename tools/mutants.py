@@ -62,6 +62,15 @@ MUTANTS = [
     ("the repair chain skipped", MODEL,
      "        if not (repaired or suspect[k - 1]):\n", "        if not suspect[k - 1]:\n",
      ["tests/test_model.py"]),
+    ("max and min swapped in the threshold step's pick", MODEL,
+     "np.maximum if theta1 > theta2 else np.minimum",
+     "np.minimum if theta1 > theta2 else np.maximum", ["tests/test_model.py"]),
+    ("the pick skipped at |theta1| = |theta2|", MODEL,
+     "pick = None if theta1 == theta2 else", "pick = None if abs(theta1) == abs(theta2) else",
+     ["tests/test_model.py"]),
+    ("the clamp step for a -0.0 innovation turned off", MODEL,
+     "    clamp = eps.view(np.int64).min() == np.iinfo(np.int64).min", "    clamp = False",
+     ["tests/test_model.py"]),
     ("simulating before _check_mc_order", "src/hdts/depmeasure.py",
      "    _check_mc_order(spec, q)\n"
      "    pairs = simulate_coupled(spec, lags + 1, [rng.derive(tag, r) for r in range(R)])\n"

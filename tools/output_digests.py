@@ -22,9 +22,10 @@ stacks), of the `simulate_coupled` pair of one stream and of
 `simulate_coupled` over 9 streams (`simulate_coupled_many`: 18 panels,
 panel then copy, stepped as threshold-AR stacks of several pairs), for
 iid, linear (K, h > 0) and threshold-AR specs (Gaussian; shell-pareto,
-whose zero runs force segment repairs; and a path short enough for fewer
-than 3 segments), and the bytes of `column_sums` over 9 streams (for
-threshold-AR, the sums of the stacks `simulate_many` steps).
+whose zero runs force segment repairs, at theta1 > theta2 and at
+theta1 < theta2; and a path short enough for fewer than 3 segments), and
+the bytes of `column_sums` over 9 streams (for threshold-AR, the sums of
+the stacks `simulate_many` steps).
 
 Every input (configs, the null matrix) is written as plain text here,
 not through hdts, so two versions of the package see the same bytes.
@@ -93,8 +94,8 @@ CONFIGS = {
 
 # (ProcessSpec keywords, n) of the library cases; 8 p (n + burn_in) bytes
 # a path makes simulate_many's threshold-AR stacks 4, 4, 1 / 4, 4, 1 /
-# 2, 2, 2, 2, 1, and the 18 coupled paths' stacks 4 x 4, 2 / 4 x 4, 2 /
-# 9 x 2 (model.STACK_BYTES = 2 MiB)
+# 2, 2, 2, 2, 1 / 8, 1, and the 18 coupled paths' stacks 4 x 4, 2 /
+# 4 x 4, 2 / 9 x 2 / 8, 8, 2 (model.STACK_BYTES = 2 MiB)
 LIBRARY = {
     "iid": (dict(family="iid", p=3), 200),
     "linear": (dict(family="linear", p=5, alpha=0.5, K=30, h=2, rho=0.4), 200),
@@ -103,6 +104,8 @@ LIBRARY = {
                        innovation=InnovationLaw.symmetric_pareto(4.0, body="shell")), 1500),
     "tar-short": (dict(family="threshold-ar", p=48, theta1=0.98, theta2=-0.5, burn_in=0),
                   2000),
+    "tar-shell-min": (dict(family="threshold-ar", p=12, theta1=-0.4, theta2=0.6, burn_in=1500,
+                           innovation=InnovationLaw.symmetric_pareto(4.0, body="shell")), 1200),
 }
 
 NULL_P5 = "".join(",".join("1" if j == k else "0" for k in range(5)) + "\n"
